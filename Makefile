@@ -1,4 +1,4 @@
-.PHONY: all build test fmt lint-polycompare check bench bench-record bench-bless bench-regress-check bench-smoke bench-par-check bench-cache-check bench-fault-check bench-scale-check bench-serve bench-serve-check bench-asynch bench-asynch-check clean
+.PHONY: all build test fmt lint-polycompare check bench bench-record bench-bless bench-regress-check bench-smoke bench-par-check bench-args-check bench-fault-check bench-scale-check bench-serve bench-serve-check bench-asynch bench-asynch-check clean
 
 all: build
 
@@ -26,6 +26,7 @@ check:
 	dune build
 	dune runtest
 	$(MAKE) bench-smoke
+	$(MAKE) bench-args-check
 	$(MAKE) bench-par-check
 	$(MAKE) bench-fault-check
 	$(MAKE) bench-scale-check
@@ -38,7 +39,7 @@ bench:
 
 # append one machine-readable entry to the bench ledger: per-experiment
 # wall/gc/RSS/congestion, span totals with allocation, steady-state
-# alloc-per-round probes, cache hit rates, and the SV1 serve section,
+# alloc-per-round probes, and the SV1 serve section,
 # stamped with the git rev and date.  After appending, the ledger is
 # trimmed to the most recent blessed baseline plus the last two entries —
 # everything the regression gate can consult — so it stays ~3 lines.
@@ -88,26 +89,18 @@ bench-par-check:
 	  --jsonl /tmp/e1-par.jsonl --jobs 2 > /tmp/e1-par-j2.out
 	diff /tmp/e1-par-j1.out /tmp/e1-par-j2.out
 	./_build/default/tools/jsonl_check.exe /tmp/e1-par.jsonl
-	$(MAKE) bench-cache-check
 
-# cache-invariance gate: the memo cache must not change what an experiment
-# computes.  Stdout must be byte-identical with the cache on and off, and
-# the JSONL data events (everything except spans and metrics, which
-# legitimately differ — a cache hit skips the producer's span and its
-# counters) must match modulo timestamps.
-bench-cache-check:
+# argument-handling gate: a misspelled id or flag must fail loudly, never
+# run nothing and pass.  An unknown experiment id exits 2 and lists the
+# valid ids, an unknown flag exits 2, and --help prints usage and exits 0.
+bench-args-check:
 	dune build bench/main.exe
-	./_build/default/bench/main.exe --only E1 --no-timing --no-breakdown \
-	  --jsonl /tmp/e1-cache.jsonl > /tmp/e1-cache-on.out
-	cp /tmp/e1-cache.jsonl /tmp/e1-cache-on.jsonl
-	./_build/default/bench/main.exe --only E1 --no-timing --no-breakdown \
-	  --no-cache --jsonl /tmp/e1-cache.jsonl > /tmp/e1-cache-off.out
-	diff /tmp/e1-cache-on.out /tmp/e1-cache-off.out
-	grep -v -e '"type":"span"' -e '"type":"metrics"' /tmp/e1-cache-on.jsonl \
-	  | sed 's/"ts":[0-9.e-]*,//g' > /tmp/e1-cache-on.events
-	grep -v -e '"type":"span"' -e '"type":"metrics"' /tmp/e1-cache.jsonl \
-	  | sed 's/"ts":[0-9.e-]*,//g' > /tmp/e1-cache-off.events
-	diff /tmp/e1-cache-on.events /tmp/e1-cache-off.events
+	./_build/default/bench/main.exe --help > /tmp/bench-args.out
+	grep -q "^usage:" /tmp/bench-args.out
+	./_build/default/bench/main.exe --only NOPE 2> /tmp/bench-args.err; \
+	  test $$? -eq 2
+	grep -q "valid ids: E1 " /tmp/bench-args.err
+	./_build/default/bench/main.exe --no-such-flag 2> /dev/null; test $$? -eq 2
 
 # open-loop serving benchmark (SV1): Poisson arrivals over the query fleet,
 # cold and warm phases, latency quantiles into the ledger's "serve" section

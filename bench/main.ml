@@ -1,34 +1,7 @@
 (* Benchmark harness: one experiment per theorem / figure of the paper
    (see DESIGN.md section 4 and EXPERIMENTS.md for the recorded outcomes).
 
-   Usage:
-     dune exec bench/main.exe                   -- run everything
-     dune exec bench/main.exe -- --only E1      -- one experiment
-     dune exec bench/main.exe -- --list         -- list experiments
-     dune exec bench/main.exe -- --no-timing    -- skip the bechamel timing suite
-     dune exec bench/main.exe -- --json out.json -- also write rows + traces as JSON
-     dune exec bench/main.exe -- --jsonl out.jsonl -- stream spans/metrics/rows/
-                                                      trace summaries as JSONL events
-     dune exec bench/main.exe -- --full-trace   -- include per-round series in
-                                                   trace events (needs --jsonl)
-     dune exec bench/main.exe -- --jobs 4       -- run sweep cells on 4 domains
-                                                   (output identical to --jobs 1)
-     dune exec bench/main.exe -- --no-breakdown -- skip the per-experiment span
-                                                   timing tables (the only
-                                                   nondeterministic stdout)
-     dune exec bench/main.exe -- --record BENCH.json -- write a benchmark
-                                                   record: per-experiment wall
-                                                   time, span totals, minor-heap
-                                                   allocation, alloc-per-round
-                                                   probes, cache hit rates
-     dune exec bench/main.exe -- --ledger BENCH_LEDGER.jsonl --rev abc123 \
-                                 --date 2026-08-08 -- append one schema-
-                                                   versioned ledger entry (same
-                                                   payload as --record plus
-                                                   rev/date/mode stamps) for
-                                                   tools/bench_diff to gate on
-     dune exec bench/main.exe -- --no-cache     -- disable the memo cache
-                                                   (stdout must not change)
+   Usage: see [usage] below, or run with --help.
 
    BENCH_SYNTH_SLOWDOWN=0.25 in the environment stretches every
    experiment by +25% of its measured wall time with a busy spin that
@@ -36,6 +9,48 @@
    the minor_words deltas the way a real code regression would: the
    regression gate's self-test injects slowdowns without touching code.
 *)
+
+let usage =
+  {|usage: main.exe [OPTION]...
+  (no options)             run every experiment, then the bechamel timing suite
+  --only ID                run one experiment (see --list)
+  --list                   list experiments
+  --no-timing              skip the bechamel timing suite
+  --json FILE              also write rows + traces as a JSON array
+  --jsonl FILE             stream spans/metrics/rows/trace summaries as JSONL
+  --full-trace             include per-round series in trace events (with --jsonl)
+  --jobs N                 run sweep cells on N domains (output identical to 1)
+  --no-breakdown           skip the per-experiment span timing tables (the
+                           only nondeterministic stdout)
+  --record FILE            write a benchmark record: per-experiment wall time,
+                           span totals, minor-heap allocation, alloc-per-round
+                           probes
+  --ledger FILE            append one schema-versioned ledger entry (the
+  --rev REV --date DATE    --record payload plus rev/date/mode stamps) for
+                           tools/bench_diff to gate on
+  --help                   print this help
+|}
+
+(* every accepted flag: these take no value ... *)
+let bool_flags =
+  [ "--list"; "--no-timing"; "--full-trace"; "--no-breakdown"; "--help"; "-h" ]
+
+(* ... and these take exactly one *)
+let value_flags =
+  [ "--only"; "--json"; "--jsonl"; "--record"; "--ledger"; "--rev"; "--date"; "--jobs" ]
+
+let usage_error msg =
+  Printf.eprintf "bench: %s\n%s" msg usage;
+  exit 2
+
+(* a misspelled flag must fail loudly: a gate that silently ran nothing
+   would pass vacuously *)
+let rec validate_args = function
+  | [] -> ()
+  | f :: _ :: rest when List.mem f value_flags -> validate_args rest
+  | f :: rest when List.mem f bool_flags -> validate_args rest
+  | f :: _ when List.mem f value_flags -> usage_error (f ^ " expects a value")
+  | f :: _ -> usage_error ("unknown option " ^ f)
 
 module G = Core.Graph
 module Gen = Core.Generators
@@ -1434,8 +1449,8 @@ let sv1 () =
     fleet;
   let run_load p =
     let server = Sv.create ~config:cfg p in
-    (* cold: construction caches dropped first; warm: the identical
-       schedule replayed against a hot cache *)
+    (* cold: graph table dropped first; warm: the identical schedule
+       replayed against a warm table *)
     Memo.clear ();
     let cold, _ = L.run_phase ~name:"cold" ~server ~events in
     let warm, _ = L.run_phase ~name:"warm" ~server ~events in
@@ -1494,7 +1509,7 @@ let sv1 () =
     Obs.Sink.Obj
       [
         ("queries", Obs.Sink.Int st.Sv.completed);
-        (* headline metrics from the warm (steady-state, cache-hot) phase;
+        (* headline metrics from the warm (steady-state) phase;
            the full per-phase breakdown rides along underneath *)
         ("qps", Obs.Sink.Float warm.L.qps);
         ("p50_ms", Obs.Sink.Float warm.L.p50_ms);
@@ -1766,7 +1781,6 @@ let run_experiment id run =
   Obs.Span.reset ();
   Obs.Metrics.reset ();
   reset_congestion ();
-  let cache0 = Memo.stats () in
   let words0 = Gc.minor_words () in
   let gc0 = Obs.Gcstat.take () in
   let cpu0 = cpu_ms_now () in
@@ -1779,13 +1793,6 @@ let run_experiment id run =
   let cpu_ms = cpu_ms_now () -. cpu0 in
   let gc_delta = Obs.Gcstat.delta ~before:gc0 ~after:(Obs.Gcstat.take ()) in
   let minor_words = Gc.minor_words () -. words0 in
-  let cache1 = Memo.stats () in
-  let hits = cache1.Memo.hits - cache0.Memo.hits in
-  let misses = cache1.Memo.misses - cache0.Memo.misses in
-  let hit_rate =
-    if hits + misses = 0 then 0.0
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
   if not !no_breakdown then begin
     let table =
       Obs.Span.render_table ~min_ms:0.01 ~alloc:(Obs.Gcstat.enabled ()) ()
@@ -1793,10 +1800,7 @@ let run_experiment id run =
     if table <> "" then begin
       Printf.printf "\n-- %s timing breakdown --\n" id;
       print_string table;
-      Printf.printf "minor-heap alloc: %.0f words\n" minor_words;
-      if hits + misses > 0 then
-        Printf.printf "memo cache: %d hits / %d misses (%.0f%% hit rate)\n"
-          hits misses (100.0 *. hit_rate)
+      Printf.printf "minor-heap alloc: %.0f words\n" minor_words
     end
   end;
   if recording () then begin
@@ -1813,9 +1817,6 @@ let run_experiment id run =
           ("minor_words", Obs.Sink.Float minor_words);
           ("gc", Obs.Gcstat.json gc_delta);
           ("congestion", congestion_json ());
-          ("cache_hits", Obs.Sink.Int hits);
-          ("cache_misses", Obs.Sink.Int misses);
-          ("cache_hit_rate", Obs.Sink.Float hit_rate);
           ( "faults",
             Obs.Sink.Obj
               [
@@ -1880,8 +1881,13 @@ let alloc_probes () =
     ]
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  validate_args args;
   let has flag = List.mem flag args in
+  if has "--help" || has "-h" then begin
+    print_string usage;
+    exit 0
+  end;
   let value_of flag =
     let rec find = function
       | f :: v :: _ when f = flag -> Some v
@@ -1891,6 +1897,12 @@ let () =
     find args
   in
   let only = value_of "--only" in
+  (match only with
+  | Some o when not (List.exists (fun (id, _, _) -> id = o) experiments) ->
+      Printf.eprintf "bench: unknown experiment %s; valid ids: %s\n" o
+        (String.concat " " (List.map (fun (id, _, _) -> id) experiments));
+      exit 2
+  | _ -> ());
   let json_path = value_of "--json" in
   let jsonl_path = value_of "--jsonl" in
   record_file := value_of "--record";
@@ -1909,7 +1921,6 @@ let () =
   in
   full_trace := has "--full-trace";
   no_breakdown := has "--no-breakdown";
-  if has "--no-cache" then Memo.set_enabled false;
   if has "--list" then
     List.iter (fun (id, desc, _) -> Printf.printf "%-4s %s\n" id desc) experiments
   else begin
@@ -1947,14 +1958,7 @@ let () =
       end
       else []
     in
-    (* bechamel must measure real construction work, not cache lookups —
-       and not pay major-GC marking for cached artifacts the timing suite
-       will never read, so drop them first (the per-experiment cache
-       stats above are already captured) *)
-    if (not (has "--no-timing")) && only = None then begin
-      Memo.clear ();
-      Memo.with_disabled timing
-    end;
+    if (not (has "--no-timing")) && only = None then timing ();
     (match !record_file with
     | Some path ->
         let doc =
@@ -1966,7 +1970,6 @@ let () =
                   (Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) record_t0)) );
               ("experiments", Obs.Sink.List (List.rev !record_entries));
               ("alloc_probes", Obs.Sink.List probes);
-              ("memo", Memo.stats_json ());
               ("serve", !serve_section);
               ("scale", !scale_section);
               ("asynch", !asynch_section);
@@ -2003,7 +2006,6 @@ let () =
                       | Some o -> Obs.Sink.String o
                       | None -> Obs.Sink.Null );
                     ("jobs", Obs.Sink.Int jobs);
-                    ("cache", Obs.Sink.Bool (not (has "--no-cache")));
                     ( "synth_slowdown",
                       if synth_slowdown > 0.0 then Obs.Sink.Float synth_slowdown
                       else Obs.Sink.Null );
@@ -2013,7 +2015,6 @@ let () =
               ("calib_cpu_ms", Obs.Sink.Float calib_cpu_ms);
               ("experiments", Obs.Sink.List (List.rev !record_entries));
               ("alloc_probes", Obs.Sink.List probes);
-              ("memo", Memo.stats_json ());
               ("serve", !serve_section);
               ("scale", !scale_section);
               ("asynch", !asynch_section);

@@ -63,8 +63,7 @@ let gen_families =
     "rmat";
   ]
 
-let gen no_cache family width height size k edge_factor seed pieces weighted out =
-  if no_cache then Memo.set_enabled false;
+let gen family width height size k edge_factor seed pieces weighted out =
   let g =
     match family with
     | "grid" -> (Core.Generators.grid width height).Core.Generators.graph
@@ -101,8 +100,7 @@ let gen no_cache family width height size k edge_factor seed pieces weighted out
 
 (* ---------- info ---------- *)
 
-let show_info no_cache edge_list file =
-  if no_cache then Memo.set_enabled false;
+let show_info edge_list file =
   let g, w = read_graph ~edge_list file in
   Printf.printf "n = %d\nm = %d\nweighted = %b\n" (Core.Graph.n g) (Core.Graph.m g)
     (w <> None);
@@ -122,8 +120,7 @@ let show_info no_cache edge_list file =
    its data, printed here in trial order, so output does not depend on the
    job count (and a single trial prints exactly what it always did) *)
 
-let quality no_cache edge_list file nparts seed trials jobs trace_out =
-  if no_cache then Memo.set_enabled false;
+let quality edge_list file nparts seed trials jobs trace_out =
   with_obs trace_out @@ fun () ->
   let g, _ = read_graph ~edge_list file in
   let tree = Core.Spanning.bfs_tree g 0 in
@@ -189,8 +186,7 @@ let mst_local strategy g w =
   Printf.printf "wall_ms = %.1f\n" ms;
   0
 
-let mst no_cache edge_list file algo trials jobs trace_out =
-  if no_cache then Memo.set_enabled false;
+let mst edge_list file algo trials jobs trace_out =
   with_obs trace_out @@ fun () ->
   let g, w = read_graph ~edge_list file in
   match algo with
@@ -247,8 +243,7 @@ let mst no_cache edge_list file algo trials jobs trace_out =
 
 (* ---------- mincut ---------- *)
 
-let mincut no_cache edge_list file trees seed trials jobs trace_out =
-  if no_cache then Memo.set_enabled false;
+let mincut edge_list file trees seed trials jobs trace_out =
   with_obs trace_out @@ fun () ->
   let g, w = read_graph ~edge_list file in
   let w = weights_of g w in
@@ -293,8 +288,7 @@ let print_phase (s : Serve.Loadgen.phase_stats) =
       Printf.printf "  %-8s %4d queries  %6d rounds  value %.3f\n" k q r v)
     s.per_kind
 
-let serve_bench no_cache rate queries depth batch seed jobs trace_out =
-  if no_cache then Memo.set_enabled false;
+let serve_bench rate queries depth batch seed jobs trace_out =
   if rate <= 0.0 then failwith "--rate must be positive";
   with_obs trace_out @@ fun () ->
   let events =
@@ -310,8 +304,8 @@ let serve_bench no_cache rate queries depth batch seed jobs trace_out =
       ~config:{ Serve.Server.queue_depth = depth; batch_max = batch }
       pool
   in
-  (* same schedule twice: the cold phase pays every graph construction,
-     the warm phase measures steady-state serving out of the memo cache *)
+  (* same schedule twice: the cold phase pays every graph generation, the
+     warm phase measures steady-state serving from the graph table *)
   let cold, _ = Serve.Loadgen.run_phase ~name:"cold" ~server ~events in
   print_phase cold;
   let warm, _ = Serve.Loadgen.run_phase ~name:"warm" ~server ~events in
@@ -435,14 +429,7 @@ let report file chrome_out flame_out =
           r.calls r.total_ms r.self_ms)
       rows
   end;
-  (* memo cache activity, if the trace recorded any *)
   let c k = Option.value (Hashtbl.find_opt counters k) ~default:0 in
-  let hits = c "memo.hits" and misses = c "memo.misses" in
-  if hits + misses > 0 then
-    Printf.printf
-      "\nmemo cache: %d hits / %d misses / %d evictions (%.0f%% hit rate)\n" hits
-      misses (c "memo.evictions")
-      (100.0 *. float_of_int hits /. float_of_int (hits + misses));
   (* query-serving activity, if the trace came from serve-bench / SV1 *)
   if !serve_summaries <> [] || !serve_latencies <> [] then begin
     let summaries = List.rev !serve_summaries in
@@ -572,13 +559,6 @@ let jobs_arg =
         ~doc:"Worker domains to spread trials over; output is identical to \
               --jobs 1.")
 
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ]
-        ~doc:"Disable the construction memo cache; results are identical \
-              either way, this only trades time for memory.")
-
 let edge_list_arg =
   Arg.(
     value & flag
@@ -608,18 +588,18 @@ let gen_cmd =
   let out = Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE") in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a graph family instance as an edge list.")
-    Term.(const gen $ no_cache_arg $ family $ width $ height $ size $ k $ edge_factor $ seed_arg $ pieces $ weighted $ out)
+    Term.(const gen $ family $ width $ height $ size $ k $ edge_factor $ seed_arg $ pieces $ weighted $ out)
 
 let info_cmd =
   Cmd.v
     (Cmd.info "info" ~doc:"Basic structural facts about a graph file.")
-    Term.(const show_info $ no_cache_arg $ edge_list_arg $ file_arg)
+    Term.(const show_info $ edge_list_arg $ file_arg)
 
 let quality_cmd =
   let nparts = Arg.(value & opt int 8 & info [ "parts" ] ~doc:"Voronoi part count.") in
   Cmd.v
     (Cmd.info "quality" ~doc:"Construct shortcuts and report b, c, q + rounds.")
-    Term.(const quality $ no_cache_arg $ edge_list_arg $ file_arg $ nparts $ seed_arg $ trials_arg $ jobs_arg $ trace_arg)
+    Term.(const quality $ edge_list_arg $ file_arg $ nparts $ seed_arg $ trials_arg $ jobs_arg $ trace_arg)
 
 let mst_cmd =
   let algo =
@@ -635,13 +615,13 @@ let mst_cmd =
   in
   Cmd.v
     (Cmd.info "mst" ~doc:"Run a distributed MST and report simulated rounds.")
-    Term.(const mst $ no_cache_arg $ edge_list_arg $ file_arg $ algo $ trials_arg $ jobs_arg $ trace_arg)
+    Term.(const mst $ edge_list_arg $ file_arg $ algo $ trials_arg $ jobs_arg $ trace_arg)
 
 let mincut_cmd =
   let trees = Arg.(value & opt int 8 & info [ "trees" ] ~doc:"Sampled trees.") in
   Cmd.v
     (Cmd.info "mincut" ~doc:"Approximate min-cut; exact verification on small inputs.")
-    Term.(const mincut $ no_cache_arg $ edge_list_arg $ file_arg $ trees $ seed_arg $ trials_arg $ jobs_arg $ trace_arg)
+    Term.(const mincut $ edge_list_arg $ file_arg $ trees $ seed_arg $ trials_arg $ jobs_arg $ trace_arg)
 
 let serve_bench_cmd =
   let rate =
@@ -672,10 +652,10 @@ let serve_bench_cmd =
          "Open-loop load benchmark of the batched query server: a \
           deterministic Poisson schedule over the built-in graph fleet, run \
           cold then warm, reporting throughput, latency quantiles \
-          (p50/p95/p99 against scheduled arrival times), cache hit rates \
-          and shed load.  Inspect a --trace file with $(b,report).")
+          (p50/p95/p99 against scheduled arrival times), graph-table hit \
+          rates and shed load.  Inspect a --trace file with $(b,report).")
     Term.(
-      const serve_bench $ no_cache_arg $ rate $ queries $ depth $ batch
+      const serve_bench $ rate $ queries $ depth $ batch
       $ seed_arg $ jobs_arg $ trace_arg)
 
 let report_cmd =

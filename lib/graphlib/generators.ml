@@ -4,68 +4,6 @@ type planar = {
   outer_face : int array;
 }
 
-(* Memoized families (DESIGN.md section 10): every generator below is a
-   pure function of (family, params, seed), so the artifact cache can
-   fetch repeat builds.  Cached values are shared between callers —
-   planar records, graphs and attachment arrays are never mutated by
-   consumers; the one caller-owned array (k_tree's elimination order) is
-   copied out of the cache.  The trivial families (path, cycle, star,
-   wheel, ...) are cheaper than a lookup and stay unmemoized. *)
-module FP = Memo.Fingerprint
-
-let m_grid : (int * int, planar) Memo.t =
-  Memo.create ~name:"gen.grid" ~fp:(fun (w, h) -> FP.(empty |> int w |> int h))
-  |> Memo.with_bytes_hint (fun p -> Graph.heap_bytes p.graph)
-
-let m_apollonian : (int * int, planar) Memo.t =
-  Memo.create ~name:"gen.apollonian" ~fp:(fun (seed, n) ->
-      FP.(empty |> int seed |> int n))
-  |> Memo.with_bytes_hint (fun p -> Graph.heap_bytes p.graph)
-
-let m_series_parallel : (int * int, Graph.t) Memo.t =
-  Memo.create ~name:"gen.series_parallel" ~fp:(fun (seed, n) ->
-      FP.(empty |> int seed |> int n))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
-let m_k_tree : (int * int * int, Graph.t * int array) Memo.t =
-  Memo.create ~name:"gen.k_tree" ~fp:(fun (seed, k, n) ->
-      FP.(empty |> int seed |> int k |> int n))
-  |> Memo.with_bytes_hint (fun (g, _) -> Graph.heap_bytes g)
-
-let m_torus_grid : (int * int, Graph.t) Memo.t =
-  Memo.create ~name:"gen.torus_grid" ~fp:(fun (w, h) ->
-      FP.(empty |> int w |> int h))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
-let m_erdos_renyi : (int * int * float, Graph.t) Memo.t =
-  Memo.create ~name:"gen.erdos_renyi" ~fp:(fun (seed, n, p) ->
-      FP.(empty |> int seed |> int n |> float p))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
-let m_random_tree : (int * int, Graph.t) Memo.t =
-  Memo.create ~name:"gen.random_tree" ~fp:(fun (seed, n) ->
-      FP.(empty |> int seed |> int n))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
-let m_cycle_with_apex : (int, Graph.t) Memo.t =
-  Memo.create ~name:"gen.cycle_with_apex" ~fp:(fun n -> FP.(empty |> int n))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
-let m_lower_bound : (int, Graph.t * int array) Memo.t =
-  Memo.create ~name:"gen.lower_bound" ~fp:(fun p -> FP.(empty |> int p))
-  |> Memo.with_bytes_hint (fun (g, _) -> Graph.heap_bytes g)
-
-let m_grid_with_handles : (int * int * int * int, planar * Graph.t) Memo.t =
-  Memo.create ~name:"gen.grid_with_handles" ~fp:(fun (seed, w, h, g) ->
-      FP.(empty |> int seed |> int w |> int h |> int g))
-  |> Memo.with_bytes_hint (fun (p, g) ->
-         Graph.heap_bytes p.graph + Graph.heap_bytes g)
-
-let m_add_apices : (int * Memo.Fingerprint.t * int * int, Graph.t) Memo.t =
-  Memo.create ~name:"gen.add_apices" ~fp:(fun (seed, gfp, q, fanout) ->
-      FP.(empty |> int seed |> int64 gfp |> int q |> int fanout))
-  |> Memo.with_bytes_hint Graph.heap_bytes
-
 let path n = Graph.of_edges n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
 
 let cycle n =
@@ -99,12 +37,10 @@ let petersen () =
   Graph.of_edges 10 (outer @ spokes @ inner)
 
 let random_tree ~seed n =
-  Memo.find_or_compute m_random_tree (seed, n) @@ fun () ->
   let st = Random.State.make [| seed |] in
   Graph.of_edges n (List.init (max 0 (n - 1)) (fun i -> (i + 1, Random.State.int st (i + 1))))
 
 let erdos_renyi ~seed n p =
-  Memo.find_or_compute m_erdos_renyi (seed, n, p) @@ fun () ->
   let st = Random.State.make [| seed |] in
   let rec attempt tries =
     let acc = ref [] in
@@ -126,7 +62,6 @@ let erdos_renyi ~seed n p =
 
 let grid w h =
   if w < 1 || h < 1 then invalid_arg "Generators.grid";
-  Memo.find_or_compute m_grid (w, h) @@ fun () ->
   let id x y = (y * w) + x in
   let acc = ref [] in
   for y = 0 to h - 1 do
@@ -157,7 +92,6 @@ let grid w h =
 
 let apollonian ~seed n =
   if n < 3 then invalid_arg "Generators.apollonian: need n >= 3";
-  Memo.find_or_compute m_apollonian (seed, n) @@ fun () ->
   let st = Random.State.make [| seed |] in
   let coords = Array.make n (0.0, 0.0) in
   coords.(0) <- (0.0, 0.0);
@@ -190,7 +124,6 @@ let apollonian ~seed n =
 
 let series_parallel ~seed n =
   if n < 2 then invalid_arg "Generators.series_parallel: need n >= 2";
-  Memo.find_or_compute m_series_parallel (seed, n) @@ fun () ->
   let st = Random.State.make [| seed |] in
   (* Grow by repeatedly picking an existing edge (u,v) and either subdividing
      it through a new vertex (series) or adding a new vertex adjacent to both
@@ -221,7 +154,8 @@ let series_parallel ~seed n =
   done;
   Graph.of_edges n !edges
 
-let k_tree_build ~seed ~k n =
+let k_tree ~seed ~k n =
+  if n < k + 1 then invalid_arg "Generators.k_tree: need n >= k+1";
   let st = Random.State.make [| seed |] in
   let edges = ref [] in
   (* cliques.(i) = the k-clique vertex v was attached to, as an array *)
@@ -260,17 +194,8 @@ let k_tree_build ~seed ~k n =
   let elim = Array.init n (fun i -> n - 1 - i) in
   (Graph.of_edges n !edges, elim)
 
-let k_tree ~seed ~k n =
-  if n < k + 1 then invalid_arg "Generators.k_tree: need n >= k+1";
-  let g, elim =
-    Memo.find_or_compute m_k_tree (seed, k, n) (fun () -> k_tree_build ~seed ~k n)
-  in
-  (* the elimination order is caller-owned; hand out a private copy *)
-  (g, Array.copy elim)
-
 let torus_grid w h =
   if w < 3 || h < 3 then invalid_arg "Generators.torus_grid: need w,h >= 3";
-  Memo.find_or_compute m_torus_grid (w, h) @@ fun () ->
   let id x y = (y * w) + x in
   let acc = ref [] in
   for y = 0 to h - 1 do
@@ -282,7 +207,6 @@ let torus_grid w h =
   Graph.of_edges (w * h) !acc
 
 let grid_with_handles ~seed w h g =
-  Memo.find_or_compute m_grid_with_handles (seed, w, h, g) @@ fun () ->
   let base = grid w h in
   let st = Random.State.make [| seed |] in
   let b = base.outer_face in
@@ -302,8 +226,6 @@ let grid_with_handles ~seed w h g =
   (base, Graph.of_edges (Graph.n base.graph) edges)
 
 let add_apices ~seed g ~q ~fanout =
-  Memo.find_or_compute m_add_apices (seed, Graph.fingerprint g, q, fanout)
-  @@ fun () ->
   let st = Random.State.make [| seed |] in
   let n = Graph.n g in
   let edges = Graph.fold_edges g ~init:[] ~f:(fun acc _ u v -> (u, v) :: acc) in
@@ -323,14 +245,12 @@ let add_apices ~seed g ~q ~fanout =
 
 let cycle_with_apex n =
   if n < 4 then invalid_arg "Generators.cycle_with_apex: need n >= 4";
-  Memo.find_or_compute m_cycle_with_apex n @@ fun () ->
   let rim = List.init (n - 1) (fun i -> (i, (i + 1) mod (n - 1))) in
   let spokes = List.init (n - 1) (fun i -> (i, n - 1)) in
   Graph.of_edges n (rim @ spokes)
 
-let lower_bound_build p =
+let lower_bound p =
   if p < 2 then invalid_arg "Generators.lower_bound: need p >= 2";
-  Memo.find_or_compute m_lower_bound p @@ fun () ->
   (* vertices: p paths of p vertices each: v(i,j) = i*p + j
      then a balanced binary tree over the p columns *)
   let base = p * p in
@@ -356,23 +276,12 @@ let lower_bound_build p =
   let g = Graph.of_edges (base + tree_nodes) !edges in
   (g, Array.init p (fun i -> path_vertex i 0))
 
-let lower_bound p =
-  let g, attach = lower_bound_build p in
-  (g, Array.copy attach)
-
 let lower_bound_parts p =
-  let g, _ = lower_bound_build p in
+  let g, _ = lower_bound p in
   let parts = List.init p (fun i -> List.init p (fun j -> (i * p) + j)) in
   (g, parts)
 
 (* -- RMAT / power-law stress family (non-minor-free) -- *)
-
-let m_rmat : (int * int * int * float * float * float, Graph.t) Memo.t =
-  Memo.create ~name:"gen.rmat" ~fp:(fun (seed, scale, edge_factor, a, b, c) ->
-      FP.(
-        empty |> int seed |> int scale |> int edge_factor |> float a
-        |> float b |> float c))
-  |> Memo.with_bytes_hint Graph.heap_bytes
 
 (* the classic recursive-matrix generator: each of [edge_factor * 2^scale]
    raw edges picks one quadrant per scale level with probabilities
@@ -453,5 +362,4 @@ let rmat ?state ?(a = 0.57) ?(b = 0.19) ?(c = 0.19) ~seed ~scale ~edge_factor ()
   match state with
   | Some st -> rmat_build st ~scale ~edge_factor ~a ~b ~c
   | None ->
-      Memo.find_or_compute m_rmat (seed, scale, edge_factor, a, b, c) @@ fun () ->
       rmat_build (Random.State.make [| seed |]) ~scale ~edge_factor ~a ~b ~c

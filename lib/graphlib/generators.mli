@@ -102,9 +102,8 @@ val rmat :
     duplicate samples are dropped, so [m] lands slightly below
     [edge_factor * n].  Not minor-free and heavy-tailed — the stress
     family for the CSR substrate, not a shortcut-friendly input.
-    Deterministic in [seed] and memoized; pass [state] (e.g. a
-    [Faults.Rng] stream) to drive sampling from an external stream
-    instead, which bypasses the cache. *)
+    Deterministic in [seed]; pass [state] (e.g. a [Faults.Rng] stream)
+    to drive sampling from an external stream instead. *)
 
 val rmat_fast_sampler_active : unit -> bool
 (** Diagnostics: whether RMAT sampling runs on the unboxed

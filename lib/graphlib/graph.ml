@@ -17,8 +17,8 @@
 
    The payload lives outside the OCaml heap: the GC never scans or moves
    it, [Exec.Pool] domains share it zero-copy, and [Obj.reachable_words]
-   does not see it — which is why [heap_bytes] exists for the Memo
-   cache's byte accounting. *)
+   does not see it — which is why [heap_bytes] exists for memory
+   accounting. *)
 
 module Ba = Bigarray.Array1
 
@@ -35,9 +35,6 @@ type t = {
   dst : int_bigarray; (* 2m: neighbor ids, edge-insertion order *)
   eid : int_bigarray; (* 2m: edge ids, parallel to dst *)
   srt : int_bigarray; (* 2m: positions permuted per segment by ascending dst *)
-  (* lazily computed structural fingerprint; 0L = not yet computed.  The
-     write is a benign race: every domain computes the same value. *)
-  mutable fp : Memo.Fingerprint.t;
 }
 
 let n g = g.n
@@ -144,16 +141,6 @@ let heap_bytes g =
   8
   * (Ba.dim g.esrc + Ba.dim g.edst + Ba.dim g.seg + Ba.dim g.dst
    + Ba.dim g.eid + Ba.dim g.srt)
-
-let fingerprint g =
-  if g.fp <> 0L then g.fp
-  else begin
-    let h = ref Memo.Fingerprint.(empty |> string "graph" |> int g.n) in
-    iter_edges g (fun _ u v -> h := Memo.Fingerprint.(!h |> int u |> int v));
-    let h = if !h = 0L then 1L else !h in
-    g.fp <- h;
-    h
-  end
 
 (* -- per-segment sort for [srt]: iterative heapsort on a slice of the
    permutation, keyed by dst.(srt.(i)).  Heapsort keeps the worst case
@@ -271,7 +258,7 @@ let seal n m esrc edst =
       Ba.unsafe_set cursor v (c + 1)
     done
   end;
-  { n; m; esrc; edst; seg; dst; eid; srt; fp = 0L }
+  { n; m; esrc; edst; seg; dst; eid; srt }
 
 module Builder = struct
   type graph = t

@@ -94,15 +94,10 @@ val find_edge_id : t -> int -> int -> int
 (** Like {!find_edge} but returns [-1] when absent: the allocation-free
     lookup the CONGEST engine's targeted-send path uses. *)
 
-val fingerprint : t -> Memo.Fingerprint.t
-(** Structural fingerprint over [n] and the edge array in insertion order;
-    computed once and cached on the graph.  The cache key ingredient for
-    every graph-derived memoized artifact. *)
-
 val heap_bytes : t -> int
 (** Total bytes of the off-heap Bigarray payload.  [Obj.reachable_words]
-    does not see it, so memoized graph producers pass this as the
-    [Memo.create ~bytes_hint] so the cache's byte bound stays honest. *)
+    does not see it, so memory accounting (the serving layer's graph
+    table, the scale bench) adds it explicitly. *)
 
 (** {1 Construction} *)
 

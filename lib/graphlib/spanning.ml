@@ -7,20 +7,7 @@ type tree = {
   order : int array;
 }
 
-(* BFS trees are pure functions of (graph, root): memoized, and shared —
-   no consumer mutates a tree's arrays (DESIGN.md section 10) *)
-let m_bfs : (Graph.t * int, tree) Memo.t =
-  (* the hint counts the host graph's off-heap payload even though it is
-     usually shared with a generator's cache entry: overcounting only
-     evicts earlier, while omitting it would let a tree over a
-     non-memoized graph (e.g. one read from a file) retain an unbounded
-     Bigarray payload past the budget *)
-  Memo.create ~name:"spanning.bfs_tree" ~fp:(fun (g, root) ->
-      Memo.Fingerprint.(empty |> int64 (Graph.fingerprint g) |> int root))
-  |> Memo.with_bytes_hint (fun t -> Graph.heap_bytes t.graph)
-
 let bfs_tree g root =
-  Memo.find_or_compute m_bfs (g, root) @@ fun () ->
   let n = Graph.n g in
   let parent = Array.make n (-1) in
   let parent_edge = Array.make n (-1) in
@@ -45,15 +32,6 @@ let bfs_tree g root =
   done;
   if !count <> n then invalid_arg "Spanning.bfs_tree: graph is not connected";
   { graph = g; root; parent; parent_edge; depth; order }
-
-(* over the host graph, root and parent pointers: pins any spanning tree,
-   not just BFS ones, so derived-artifact cache keys stay sound for trees
-   built by other means *)
-let fingerprint t =
-  Memo.Fingerprint.(
-    empty |> string "tree"
-    |> int64 (Graph.fingerprint t.graph)
-    |> int t.root |> ints t.parent)
 
 let height t = Array.fold_left max 0 t.depth
 

@@ -15,13 +15,7 @@ type tree = {
 
 val bfs_tree : Graph.t -> int -> tree
 (** BFS spanning tree rooted at the given vertex. Its height is at most the
-    graph diameter, the setting of Theorem 1. Requires a connected graph.
-    Memoized by (graph fingerprint, root); the returned tree is shared, so
-    callers must not mutate its arrays. *)
-
-val fingerprint : tree -> Memo.Fingerprint.t
-(** Structural fingerprint over the host graph, root and parent pointers —
-    the cache-key ingredient for tree-derived artifacts. *)
+    graph diameter, the setting of Theorem 1. Requires a connected graph. *)
 
 val height : tree -> int
 (** Maximum depth; the [d_T] of the shortcut definitions (within a factor 2 of

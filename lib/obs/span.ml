@@ -93,15 +93,6 @@ let add_attr k v =
   let ds = Domain.DLS.get key in
   match ds.stack with [] -> () | fr :: _ -> fr.attrs <- (k, v) :: fr.attrs
 
-let set_attr k v =
-  let ds = Domain.DLS.get key in
-  match ds.stack with
-  | [] -> ()
-  | fr :: _ ->
-      fr.attrs <-
-        (k, v) :: (if List.mem_assoc k fr.attrs then List.remove_assoc k fr.attrs
-                   else fr.attrs)
-
 let close ds fr =
   let dur = Int64.sub (Clock.now_ns ()) fr.start_ns in
   (* GC delta before any bookkeeping below allocates on our account *)

@@ -29,10 +29,6 @@ val add_attr : string -> Sink.json -> unit
 (** Attach a key/value attribute to the innermost open span; no-op when
     collection is off or no span is open. *)
 
-val set_attr : string -> Sink.json -> unit
-(** Like {!add_attr} but replaces an existing binding of the same key, so
-    high-frequency taggers (the memo cache) stay bounded per span. *)
-
 type stat = {
   path : string;  (** '/'-joined names of the span and its ancestors *)
   name : string;

@@ -23,8 +23,8 @@ val schedule :
   event list
 (** Deterministic Poisson schedule: arrival gaps from the
     ["serve.arrivals"] stream, graph/kind/qseed mix from ["serve.mix"]
-    (40% BFS, 30% SSSP, 20% MST, 10% min-cut; qseed in 0..3 so repeated
-    queries exercise the Memo cache).  [at_ms] is strictly increasing. *)
+    (40% BFS, 30% SSSP, 20% MST, 10% min-cut; qseed in 0..3, so queries
+    repeat).  [at_ms] is strictly increasing. *)
 
 type phase_stats = {
   phase : string;
@@ -39,7 +39,7 @@ type phase_stats = {
   p95_ms : float;
   p99_ms : float;
   max_ms : float;
-  cache_hits : int;  (** Memo hit delta over the phase *)
+  cache_hits : int;  (** [Memo] graph-table hit delta over the phase *)
   cache_misses : int;
   cache_hit_rate : float;
   queue_hwm : int;  (** server-lifetime high-water mark at phase end *)

@@ -134,7 +134,7 @@ let serve_batch (t : t) spec (items : pending_q list) =
       ]
     (fun () ->
       (* one graph resolution per batch, shared by every query in it; after
-         the first batch per spec this is a Memo hit *)
+         the first batch per spec this is a graph-table hit *)
       let g = Workload.graph spec in
       let responses =
         Exec.Pool.map_cells t.pl

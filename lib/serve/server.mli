@@ -1,5 +1,6 @@
 (** In-process query server: bounded admission queue → same-graph batcher →
-    work-stealing [Exec.Pool] → memoized pipeline (DESIGN.md section 14).
+    work-stealing [Exec.Pool] → [Workload.run] on a graph resolved once
+    per batch (DESIGN.md section 14).
 
     The server is single-producer: one thread of control submits and
     drains; parallelism lives inside {!drain}, which dispatches each batch

@@ -12,13 +12,16 @@ let spec_name = function
   | Wheel n -> Printf.sprintf "wheel-%d" n
   | Torus (w, h) -> Printf.sprintf "torus-%dx%d" w h
 
-let graph = function
+let build = function
   | Grid (w, h) -> (Core.Generators.grid w h).Core.Generators.graph
   | Apollonian (seed, n) ->
       (Core.Generators.apollonian ~seed n).Core.Generators.graph
   | Ktree (seed, k, n) -> fst (Core.Generators.k_tree ~seed ~k n)
   | Wheel n -> Core.Generators.wheel n
   | Torus (w, h) -> Core.Generators.torus_grid w h
+
+(* [spec_name] is injective, so it keys the table *)
+let graph spec = Memo.find_or_compute (spec_name spec) (fun () -> build spec)
 
 let default_fleet =
   [|

@@ -19,9 +19,10 @@ val spec_name : graph_spec -> string
     batching keys shown to humans. *)
 
 val graph : graph_spec -> Core.Graph.t
-(** Materialize the graph.  Goes through the memoized generators, so a
-    fleet served repeatedly hits the [Memo] cache after the first query
-    per spec. *)
+(** Resolve the graph through the [Memo] graph table: the first lookup
+    of a spec generates it, every later one (until [Memo.clear]) returns
+    the same shared graph.  Nothing derived from the graph is cached —
+    each query builds its own spanning trees, partitions and shortcuts. *)
 
 val default_fleet : graph_spec array
 (** The five-family fleet the benches and CLI serve by default — one graph
@@ -34,7 +35,7 @@ val all_kinds : kind array
 
 type query = { spec : graph_spec; kind : kind; qseed : int }
 (** [qseed] picks the root/source/weights, so a small seed range gives the
-    cache-friendly repeated-query traffic a serving fleet sees. *)
+    repeated-query traffic a serving fleet sees. *)
 
 type response = { rounds : int; value : float }
 (** [rounds] is the simulated CONGEST round count; [value] is a

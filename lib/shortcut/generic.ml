@@ -60,35 +60,12 @@ let default_kappas max_load =
   let rec loop k acc = if k >= max_load then List.rev (max_load :: acc) else loop (2 * k) (k :: acc) in
   if max_load <= 1 then [ 1 ] else loop 1 []
 
-let policy_tag = function Drop_all -> 0 | Keep_kappa -> 1
-
-let key_fp (policy, kappas, tree, parts) =
-  let h =
-    Memo.Fingerprint.(
-      empty
-      |> int (policy_tag policy)
-      |> int64 (Spanning.fingerprint tree)
-      |> int64 (Part.fingerprint parts))
-  in
-  match kappas with
-  | None -> Memo.Fingerprint.bool false h
-  | Some ks -> Memo.Fingerprint.(h |> bool true |> int_list ks)
-
-(* both construction entry points are memoized on (policy, kappa list,
-   tree, parts); the returned shortcut and curve are immutable *)
-let m_construct :
-    (policy * int list option * Spanning.tree * Part.t,
-     Shortcut.t * (int * int) list)
-    Memo.t =
-  Memo.create ~name:"generic.construct" ~fp:key_fp
-
 (* The kappa sweep evaluates (b, c, q) for every threshold without building a
    full Shortcut.t each time: edge survival is a rank test precomputed once,
    congestion comes from the load histogram in closed form, and blocks use a
    version-stamped array union-find. Only the winning kappa pays for
    Shortcut.make. *)
 let construct_with_stats ?(policy = Keep_kappa) ?kappas tree parts =
-  Memo.find_or_compute m_construct (policy, kappas, tree, parts) @@ fun () ->
   Obs.Span.with_ "generic.construct" @@ fun () ->
   let g = tree.Spanning.graph in
   let n = Graphlib.Graph.n g in
@@ -205,13 +182,7 @@ type frontier_point = {
   q : int;
 }
 
-let m_frontier :
-    (policy * int list option * Spanning.tree * Part.t, frontier_point list)
-    Memo.t =
-  Memo.create ~name:"generic.frontier" ~fp:key_fp
-
 let frontier ?(policy = Keep_kappa) ?kappas tree parts =
-  Memo.find_or_compute m_frontier (policy, kappas, tree, parts) @@ fun () ->
   Obs.Span.with_ "generic.frontier" @@ fun () ->
   let steiner = Steiner.compute tree parts in
   let kappas =

@@ -10,13 +10,6 @@ type t = {
 let count t = Array.length t.parts
 let size t i = Array.length t.parts.(i)
 
-(* over every part's vertex array in order: pins part indexing AND the
-   within-part vertex order (assignment tie-breaking reads both) *)
-let fingerprint t =
-  let h = ref Memo.Fingerprint.(empty |> string "part" |> int (count t)) in
-  Array.iter (fun p -> h := Memo.Fingerprint.ints p !h) t.parts;
-  !h
-
 let build n parts_list =
   let parts = Array.of_list (List.map Array.of_list parts_list) in
   let part_of = Array.make n (-1) in
@@ -74,24 +67,6 @@ let max_part_diameter g t =
 
 let c_partitions = Obs.Metrics.counter "part.partitions_built"
 
-(* memoized partition producers (DESIGN.md section 10); Part.t values are
-   immutable after [build], so cache sharing is safe *)
-let m_voronoi : (Memo.Fingerprint.t * int * int, t) Memo.t =
-  Memo.create ~name:"part.voronoi" ~fp:(fun (gfp, seed, count) ->
-      Memo.Fingerprint.(empty |> int64 gfp |> int seed |> int count))
-
-let m_grid_rows : (int * int, t) Memo.t =
-  Memo.create ~name:"part.grid_rows" ~fp:(fun (w, h) ->
-      Memo.Fingerprint.(empty |> int w |> int h))
-
-let m_boruvka : (Memo.Fingerprint.t * Memo.Fingerprint.t * int, t) Memo.t =
-  Memo.create ~name:"part.boruvka_fragments" ~fp:(fun (gfp, wfp, level) ->
-      Memo.Fingerprint.(empty |> int64 gfp |> int64 wfp |> int level))
-
-let m_random_connected : (Memo.Fingerprint.t * int * int * float, t) Memo.t =
-  Memo.create ~name:"part.random_connected" ~fp:(fun (gfp, seed, count, coverage) ->
-      Memo.Fingerprint.(empty |> int64 gfp |> int seed |> int count |> float coverage))
-
 let partition_span ~kind ~count body =
   Obs.Span.with_
     ~attrs:
@@ -102,7 +77,6 @@ let partition_span ~kind ~count body =
       body ())
 
 let voronoi ~seed g ~count =
-  Memo.find_or_compute m_voronoi (Graph.fingerprint g, seed, count) @@ fun () ->
   partition_span ~kind:"voronoi" ~count @@ fun () ->
   let n = Graph.n g in
   let st = Random.State.make [| seed |] in
@@ -121,15 +95,11 @@ let voronoi ~seed g ~count =
   build n (Array.to_list buckets |> List.filter (fun l -> l <> []))
 
 let grid_rows w h =
-  Memo.find_or_compute m_grid_rows (w, h) @@ fun () ->
   partition_span ~kind:"grid_rows" ~count:h @@ fun () ->
   let rows = List.init h (fun y -> List.init w (fun x -> (y * w) + x)) in
   build (w * h) rows
 
 let boruvka_fragments g w ~level =
-  Memo.find_or_compute m_boruvka
-    (Graph.fingerprint g, Memo.Fingerprint.(empty |> floats w), level)
-  @@ fun () ->
   partition_span ~kind:"boruvka_fragments" ~count:level @@ fun () ->
   let n = Graph.n g in
   let uf = Union_find.create n in
@@ -164,9 +134,6 @@ let boruvka_fragments g w ~level =
 let singletons g = build (Graph.n g) (List.init (Graph.n g) (fun v -> [ v ]))
 
 let random_connected ~seed g ~count ~coverage =
-  Memo.find_or_compute m_random_connected
-    (Graph.fingerprint g, seed, count, coverage)
-  @@ fun () ->
   let n = Graph.n g in
   let st = Random.State.make [| seed |] in
   let target = int_of_float (coverage *. float_of_int n) in

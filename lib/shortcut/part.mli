@@ -14,11 +14,6 @@ val of_list : Graphlib.Graph.t -> int list list -> t
 val count : t -> int
 val size : t -> int -> int
 
-val fingerprint : t -> Memo.Fingerprint.t
-(** Structural fingerprint over every part's vertex array (indexing and
-    within-part order included) — the cache-key ingredient for
-    partition-derived artifacts. *)
-
 val check : Graphlib.Graph.t -> t -> (unit, string) result
 (** Disjointness and [G[P_i]] connectivity. *)
 

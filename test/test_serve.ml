@@ -1,7 +1,8 @@
 (* Tests for the batched query server (lib/serve): batched answers match
    the sequential oracle, admission-queue backpressure is deterministic,
    batching groups by graph, results are independent of the pool's job
-   count, and the Poisson schedule is a pure function of its seed. *)
+   count, the Poisson schedule is a pure function of its seed, and the
+   graph table (lib/memo) resolves each spec once. *)
 
 module W = Serve.Workload
 module Sv = Serve.Server
@@ -11,7 +12,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* a small fleet keeps the oracle sweep fast; these are distinct specs so
-   grouping and memoization are still exercised *)
+   grouping and the graph table are still exercised *)
 let small_fleet = [| W.Grid (6, 6); W.Wheel 24; W.Torus (4, 4) |]
 
 let queries_of fleet =
@@ -149,7 +150,7 @@ let test_percentile () =
   check "empty is 0" true (L.percentile [||] 50.0 = 0.0);
   check "singleton" true (L.percentile [| 7.5 |] 99.0 = 7.5)
 
-(* ---------- memoized warm path ---------- *)
+(* ---------- graph table ---------- *)
 
 let test_warm_serving_hits_cache () =
   with_server ~jobs:1 (fun server ->
@@ -166,6 +167,55 @@ let test_warm_serving_hits_cache () =
       check "warm responses equal cold responses" true
         (List.map (fun (c : Sv.completion) -> c.Sv.response) warm
         = List.map (fun (c : Sv.completion) -> c.Sv.response) cold))
+
+let test_clear_and_stats () =
+  Memo.clear ();
+  check_int "clear empties the table" 0 (Memo.stats ()).Memo.entries;
+  check_int "clear drops the bytes" 0 (Memo.stats ()).Memo.bytes;
+  Array.iter
+    (fun spec ->
+      let m0 = Memo.stats () in
+      let g = W.graph spec in
+      let m1 = Memo.stats () in
+      check_int "first lookup misses" 1 (m1.Memo.misses - m0.Memo.misses);
+      check_int "first lookup does not hit" 0 (m1.Memo.hits - m0.Memo.hits);
+      for _ = 1 to 3 do
+        check "later lookups share the graph" true (W.graph spec == g)
+      done;
+      let m2 = Memo.stats () in
+      check_int "later lookups hit" 3 (m2.Memo.hits - m1.Memo.hits);
+      check_int "later lookups do not miss" 0 (m2.Memo.misses - m1.Memo.misses))
+    small_fleet;
+  let s = Memo.stats () in
+  check_int "one entry per spec" (Array.length small_fleet) s.Memo.entries;
+  check "bytes count the CSR payloads" true (s.Memo.bytes > 0);
+  Memo.clear ();
+  check_int "clear empties it again" 0 (Memo.stats ()).Memo.entries
+
+(* domains racing on a cold table may both build a spec; every one of them
+   must still see the same graph shape as a single-domain run *)
+let test_pool_safety () =
+  let fleet = Array.append small_fleet W.default_fleet in
+  let f _ i =
+    let g = W.graph fleet.(i mod Array.length fleet) in
+    (Core.Graph.n g, Core.Graph.m g)
+  in
+  let cells = Array.init 40 Fun.id in
+  Memo.clear ();
+  let seq =
+    Exec.Pool.with_pool ~jobs:1 (fun p -> Exec.Pool.map_cells p ~f cells)
+  in
+  Memo.clear ();
+  let par =
+    Exec.Pool.with_pool ~jobs:2 (fun p -> Exec.Pool.map_cells p ~f cells)
+  in
+  check "jobs=2 results identical to jobs=1" true (seq = par);
+  (* whatever the race outcomes, every spec is in the table now *)
+  let s0 = Memo.stats () in
+  Array.iter (fun i -> ignore (f 0 i)) cells;
+  let s1 = Memo.stats () in
+  check_int "all post-pool lookups hit" (s0.Memo.hits + Array.length cells)
+    s1.Memo.hits
 
 let () =
   Alcotest.run "serve"
@@ -193,5 +243,12 @@ let () =
         [
           Alcotest.test_case "warm serving runs entirely from cache" `Quick
             test_warm_serving_hits_cache;
+          Alcotest.test_case "clear empties the graph table" `Quick
+            test_clear_and_stats;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "pool jobs=2 matches jobs=1" `Quick
+            test_pool_safety;
         ] );
     ]
