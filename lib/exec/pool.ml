@@ -207,13 +207,17 @@ let map_cells (type b) t ~f (cells : 'a array) : b array =
         Obs.Metrics.clear_merge_rank ();
         if s > 0 then snaps.(s) <- Some (Obs.capture_domain ())
       in
-      (* dispatch slices 1.. to the workers, run slice 0 here *)
+      (* the caller claims cell 0 before any worker can see its deque, so a
+         thief that drains its own chunk first can never take it; then
+         dispatch slices 1.. to the workers and run the rest of slice 0 here *)
+      let first = Deque.pop deques.(0) in
       for s = 1 to slices - 1 do
         let box = t.boxes.(s - 1) in
         submit box (fun () ->
             Obs.Span.adopt ctx;
             run_slice s)
       done;
+      Option.iter (exec 0) first;
       run_slice 0;
       for s = 1 to slices - 1 do
         await t.boxes.(s - 1)

@@ -61,7 +61,8 @@ val map_cells : t -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
 (** [map_cells t ~f cells] computes [f i cells.(i)] for every [i] and
     returns the results in input order.  [f] runs on the calling domain for
     slice 0 and on worker domains otherwise (any cell may migrate to any
-    slice by stealing); it must not touch mutable state shared with other
+    slice by stealing, except cell 0, which the calling domain claims
+    before the workers start); it must not touch mutable state shared with other
     cells (print, grow caller-side refs, use the global [Random] state,
     ...) — return data instead and let the caller emit it in order.
     Observability (spans, metrics, sink events) is safe anywhere.
