@@ -7,12 +7,52 @@ type result = {
   mins : (float * int) option array;
 }
 
-type node_state = {
-  best : (int, float * int) Hashtbl.t;  (* part -> current min *)
-  queues : (int, int Queue.t) Hashtbl.t;  (* neighbor -> pending part ids *)
-  queued : (int * int, unit) Hashtbl.t;
-}
+(* the one (key, data) order every part-wise minimum is taken in:
+   lexicographic, key first.  Keys are never NaN, so the float [<] and
+   [=] are total here; the annotations keep both comparisons monomorphic *)
+let value_lt (k1 : float) (d1 : int) (k2 : float) (d2 : int) =
+  k1 < k2 || (k1 = k2 && d1 < d2)
 
+(* counting-sort offsets: [off.(x) .. off.(x + 1) - 1] is the range of
+   bucket [x] among the [len] items [key 0 .. key (len - 1)] in [0, k);
+   negative keys are skipped *)
+let offsets k len key =
+  let off = Array.make (k + 1) 0 in
+  for i = 0 to len - 1 do
+    let x = key i in
+    if x >= 0 then off.(x + 1) <- off.(x + 1) + 1
+  done;
+  for x = 1 to k do
+    off.(x) <- off.(x) + off.(x - 1)
+  done;
+  off
+
+(* stable bucketing: [order.(off.(x)) .. order.(off.(x + 1) - 1)] are the
+   items with key [x], ascending *)
+let bucket k len key =
+  let off = offsets k len key in
+  let order = Array.make off.(k) 0 in
+  let fill = Array.sub off 0 k in
+  for i = 0 to len - 1 do
+    let x = key i in
+    if x >= 0 then begin
+      order.(fill.(x)) <- i;
+      fill.(x) <- fill.(x) + 1
+    end
+  done;
+  (off, order)
+
+(* State layout, all flat arrays built once per call (DESIGN.md §7):
+   - entries: one per allowed direction (CSR position [pos] of node [v],
+     part [p]), grouped by slot; [ent_pos]/[ent_slot] and a [queued] flag;
+   - slots: one per (node, part) the node carries — its own part plus every
+     part with an allowed direction out of it — sorted by part within the
+     node for the receive-side binary search, with unboxed
+     [best_key]/[best_data]/[best_set];
+   - rings: per CSR position, a FIFO of pending entry ids whose capacity is
+     the number of entries on that position (an entry is queued at most
+     once at a time);
+   - [pending.(v)]: queued entries out of [v], so [finished] is O(1). *)
 let minimum ?max_rounds ?trace ?faults sc ~values =
   let tree = sc.Sc.tree in
   let g = tree.Graphlib.Spanning.graph in
@@ -21,127 +61,185 @@ let minimum ?max_rounds ?trace ?faults sc ~values =
     ~attrs:[ ("n", Obs.Sink.Int n) ]
     "congest.aggregate.minimum"
   @@ fun () ->
-  let parts = sc.Sc.parts in
-  let part_of = parts.Part.part_of in
-  (* by_part.(v) : part -> neighbors usable for that part (shortcut edges of
-     the part plus the part's own induced edges); deduped while building so
-     [improve] touches each usable neighbor once *)
-  let by_part : (int, int list) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 4) in
-  let seen = Hashtbl.create 64 in
-  let allow v w p =
-    if not (Hashtbl.mem seen (v, w, p)) then begin
-      Hashtbl.replace seen (v, w, p) ();
-      let cur = Option.value (Hashtbl.find_opt by_part.(v) p) ~default:[] in
-      Hashtbl.replace by_part.(v) p (w :: cur)
+  let part_of = sc.Sc.parts.Part.part_of in
+  let assigned = sc.Sc.assigned in
+  let npos = 2 * Graph.m g in
+  let nparts = Array.fold_left (fun acc p -> max acc (p + 1)) (Array.length assigned) part_of in
+  let mem_start, members = bucket nparts n (fun v -> part_of.(v)) in
+  (* CSR position of each directed edge: [2e] leaves [Graph.edge_u g e] *)
+  let pos_of_dir = Array.make npos 0 in
+  for v = 0 to n - 1 do
+    for pos = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+      let e = Graph.adj_eid g pos in
+      pos_of_dir.((2 * e) + if Graph.edge_u g e = v then 0 else 1) <- pos
+    done
+  done;
+  (* raw (node, pos, part) triples, emitted part by part so one stamp per
+     position dedups them; [pos = -1] marks a member's own-part slot *)
+  let cap =
+    n + npos + Array.fold_left (fun acc a -> acc + (2 * Array.length a)) 0 assigned
+  in
+  let r_node = Array.make cap 0 and r_pos = Array.make cap 0 in
+  let r_part = Array.make cap 0 in
+  let r_n = ref 0 in
+  let stamp = Array.make npos (-1) in
+  let emit v pos p =
+    if pos < 0 || stamp.(pos) <> p then begin
+      if pos >= 0 then stamp.(pos) <- p;
+      r_node.(!r_n) <- v;
+      r_pos.(!r_n) <- pos;
+      r_part.(!r_n) <- p;
+      incr r_n
     end
   in
-  Array.iteri
-    (fun p edges ->
+  for p = 0 to nparts - 1 do
+    if p < Array.length assigned then
       Array.iter
         (fun e ->
-          let u, v = Graph.edge g e in
-          allow u v p;
-          allow v u p)
-        edges)
-    sc.Sc.assigned;
-  Graph.iter_edges g (fun _ u v ->
-      let pu = part_of.(u) in
-      if pu >= 0 && pu = part_of.(v) then begin
-        allow u v pu;
-        allow v u pu
-      end);
-  let enqueue st w p =
-    if not (Hashtbl.mem st.queued (w, p)) then begin
-      Hashtbl.replace st.queued (w, p) ();
-      let q =
-        match Hashtbl.find_opt st.queues w with
-        | Some q -> q
-        | None ->
-            let q = Queue.create () in
-            Hashtbl.replace st.queues w q;
-            q
-      in
-      Queue.push p q
+          emit (Graph.edge_u g e) pos_of_dir.(2 * e) p;
+          emit (Graph.edge_v g e) pos_of_dir.((2 * e) + 1) p)
+        assigned.(p);
+    for i = mem_start.(p) to mem_start.(p + 1) - 1 do
+      let v = members.(i) in
+      emit v (-1) p;
+      for pos = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+        if part_of.(Graph.adj_dst g pos) = p then emit v pos p
+      done
+    done
+  done;
+  (* stable, so parts stay ascending within a node *)
+  let r_n = !r_n in
+  let node_start, order = bucket n r_n (fun i -> r_node.(i)) in
+  (* slots are the runs of equal part within a node; entries drop the
+     own-part markers *)
+  let slot_part = Array.make r_n 0 and slot_first = Array.make (r_n + 1) 0 in
+  let node_slot = Array.make (n + 1) 0 and own_slot = Array.make n (-1) in
+  let ent_pos = Array.make r_n 0 and ent_slot = Array.make r_n 0 in
+  let ns = ref 0 and ne = ref 0 in
+  for v = 0 to n - 1 do
+    node_slot.(v) <- !ns;
+    for j = node_start.(v) to node_start.(v + 1) - 1 do
+      let i = order.(j) in
+      let p = r_part.(i) in
+      if j = node_start.(v) || slot_part.(!ns - 1) <> p then begin
+        slot_part.(!ns) <- p;
+        slot_first.(!ns) <- !ne;
+        incr ns
+      end;
+      if r_pos.(i) < 0 then own_slot.(v) <- !ns - 1
+      else begin
+        ent_pos.(!ne) <- r_pos.(i);
+        ent_slot.(!ne) <- !ns - 1;
+        incr ne
+      end
+    done
+  done;
+  node_slot.(n) <- !ns;
+  slot_first.(!ns) <- !ne;
+  let nslots = !ns and nent = !ne in
+  let ring_off = offsets npos nent (fun k -> ent_pos.(k)) in
+  let ring = Array.make nent 0 in
+  let ring_head = Array.make npos 0 and ring_len = Array.make npos 0 in
+  let queued = Bytes.make nent '\000' in
+  let pending = Array.make n 0 in
+  let best_key = Array.make nslots 0.0 and best_data = Array.make nslots 0 in
+  let best_set = Bytes.make nslots '\000' in
+  (* queue every allowed direction of slot [s] (owned by [v]) not already
+     queued; callers have just lowered the slot's best *)
+  let enqueue_slot v s =
+    for k = slot_first.(s) to slot_first.(s + 1) - 1 do
+      if Bytes.unsafe_get queued k = '\000' then begin
+        Bytes.unsafe_set queued k '\001';
+        let pos = ent_pos.(k) in
+        let off = ring_off.(pos) and len = ring_len.(pos) in
+        let cap = ring_off.(pos + 1) - off in
+        let at = ring_head.(pos) + len in
+        ring.(off + if at >= cap then at - cap else at) <- k;
+        ring_len.(pos) <- len + 1;
+        pending.(v) <- pending.(v) + 1
+      end
+    done
+  in
+  (* [@inline] keeps [key] unboxed: the non-flambda compiler boxes a float
+     passed to a closure it does not inline *)
+  let[@inline] improve v s key data =
+    if Bytes.get best_set s = '\000' || value_lt key data best_key.(s) best_data.(s)
+    then begin
+      best_key.(s) <- key;
+      best_data.(s) <- data;
+      Bytes.set best_set s '\001';
+      enqueue_slot v s
     end
   in
-  let improve st v p value =
-    let better =
-      match Hashtbl.find_opt st.best p with None -> true | Some cur -> value < cur
-    in
-    if better then begin
-      Hashtbl.replace st.best p value;
-      match Hashtbl.find_opt by_part.(v) p with
-      | Some nbrs -> List.iter (fun w -> enqueue st w p) nbrs
-      | None -> ()
-    end;
-    better
+  let find_slot v p =
+    let lo = ref node_slot.(v) and hi = ref (node_slot.(v + 1) - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if slot_part.(mid) < p then lo := mid + 1 else hi := mid
+    done;
+    if !lo > !hi || slot_part.(!lo) <> p then
+      invalid_arg "Aggregate: message for a part the node does not carry";
+    !lo
   in
   let send_buf = [| 0; 0; 0; 0 |] in
   let algo =
     {
       Network.init =
         (fun _ v ->
-          let st =
-            {
-              best = Hashtbl.create 4;
-              queues = Hashtbl.create 4;
-              queued = Hashtbl.create 4;
-            }
-          in
-          let p = part_of.(v) in
-          (match (p, values.(v)) with
-          | p, Some value when p >= 0 -> ignore (improve st v p value)
+          let s = own_slot.(v) in
+          (match values.(v) with
+          | Some (key, data) when s >= 0 -> improve v s key data
           | _ -> ());
-          st);
+          v);
       step =
-        (fun ctx st ->
-          let v = Network.node ctx in
+        (fun ctx v ->
           (* receive *)
           for i = 0 to Network.inbox_size ctx - 1 do
             if Network.inbox_words ctx i <> 4 then
               invalid_arg "Aggregate: malformed payload";
-            let p = Network.inbox_word ctx i 0 in
+            let s = find_slot v (Network.inbox_word ctx i 0) in
             let hi = Network.inbox_word ctx i 1 in
             let lo = Network.inbox_word ctx i 2 in
             let data = Network.inbox_word ctx i 3 in
-            let bits =
-              Int64.logor
-                (Int64.shift_left (Int64.of_int hi) 32)
-                (Int64.of_int (lo land 0xFFFFFFFF))
+            let key =
+              Int64.float_of_bits
+                (Int64.logor
+                   (Int64.shift_left (Int64.of_int hi) 32)
+                   (Int64.of_int (lo land 0xFFFFFFFF)))
             in
-            let key = Int64.float_of_bits bits in
-            ignore (improve st v p (key, data))
+            improve v s key data
           done;
-          (* send: one pending part per neighbor *)
-          Hashtbl.iter
-            (fun w q ->
-              if not (Queue.is_empty q) then begin
-                let p = Queue.pop q in
-                Hashtbl.remove st.queued (w, p);
-                match Hashtbl.find_opt st.best p with
-                | Some (key, data) ->
-                    let bits = Int64.bits_of_float key in
-                    let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
-                    let lo = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
-                    send_buf.(0) <- p;
-                    send_buf.(1) <- hi;
-                    send_buf.(2) <- lo;
-                    send_buf.(3) <- data;
-                    Network.send ctx w send_buf
-                | None -> ()
-              end)
-            st.queues;
-          st);
-      finished =
-        (fun st ->
-          Hashtbl.fold (fun _ q acc -> acc && Queue.is_empty q) st.queues true);
+          (* send: one pending part per neighbor, in CSR adjacency order *)
+          if pending.(v) > 0 then
+            for pos = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+              let len = ring_len.(pos) in
+              if len > 0 then begin
+                let off = ring_off.(pos) and h = ring_head.(pos) in
+                let k = ring.(off + h) in
+                ring_head.(pos) <- (if h + 1 = ring_off.(pos + 1) - off then 0 else h + 1);
+                ring_len.(pos) <- len - 1;
+                Bytes.unsafe_set queued k '\000';
+                pending.(v) <- pending.(v) - 1;
+                let s = ent_slot.(k) in
+                let bits = Int64.bits_of_float best_key.(s) in
+                send_buf.(0) <- slot_part.(s);
+                send_buf.(1) <- Int64.to_int (Int64.shift_right_logical bits 32);
+                send_buf.(2) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+                send_buf.(3) <- best_data.(s);
+                Network.send ctx (Graph.adj_dst g pos) send_buf
+              end
+            done;
+          v);
+      finished = (fun v -> pending.(v) = 0);
     }
   in
-  let states, stats = Network.run ?max_rounds ?trace ?faults g algo in
+  let _, stats = Network.run ?max_rounds ?trace ?faults g algo in
   let mins =
     Array.init n (fun v ->
-        let p = part_of.(v) in
-        if p < 0 then None else Hashtbl.find_opt states.(v).best p)
+        let s = own_slot.(v) in
+        if s >= 0 && Bytes.get best_set s <> '\000' then
+          Some (best_key.(s), best_data.(s))
+        else None)
   in
   { stats; mins }
 
@@ -154,7 +252,7 @@ let true_minimum parts ~values =
       let p = parts.Part.part_of.(v) in
       if p >= 0 then
         match (value, best.(p)) with
-        | Some x, Some y when y <= x -> ()
+        | Some (kx, dx), Some (ky, dy) when not (value_lt kx dx ky dy) -> ()
         | Some x, _ -> best.(p) <- Some x
         | None, _ -> ())
     values;
@@ -168,7 +266,8 @@ let verify sc ~values result =
   Array.iteri
     (fun v e ->
       match (e, result.mins.(v)) with
-      | Some x, Some y when x = y -> ()
+      | Some (kx, dx), Some (ky, dy)
+        when not (value_lt kx dx ky dy || value_lt ky dy kx dx) -> ()
       | None, _ -> ()
       | _ -> ok := false)
     expected;

@@ -15,6 +15,12 @@ type result = {
       (** per vertex: the minimum its own part converged to *)
 }
 
+val value_lt : float -> int -> float -> int -> bool
+(** [value_lt k1 d1 k2 d2]: [(k1, d1)] precedes [(k2, d2)] in the
+    lexicographic (key, data) order every part-wise minimum uses — key
+    first, data breaking ties.  Keys are never NaN.  Shared with {!Mst} so
+    that no caller compares value pairs polymorphically. *)
+
 val minimum :
   ?max_rounds:int ->
   ?trace:Trace.t ->

@@ -34,7 +34,7 @@ let mwoe_values g w uf =
       Graph.iter_adj g v (fun u e ->
           if not (Union_find.same uf v u) then
             match !best with
-            | Some (bw, be) when (bw, be) <= (w.(e), e) -> ()
+            | Some (bw, be) when not (Aggregate.value_lt w.(e) e bw be) -> ()
             | _ -> best := Some (w.(e), e));
       !best)
 
@@ -47,7 +47,7 @@ let merge_phase g w uf mins parts mst_edges =
       let p = parts.Part.part_of.(v) in
       if p >= 0 then
         match (m, chosen.(p)) with
-        | Some x, Some y when y <= x -> ()
+        | Some (kx, dx), Some (ky, dy) when not (Aggregate.value_lt kx dx ky dy) -> ()
         | Some x, _ -> chosen.(p) <- Some x
         | None, _ -> ())
     mins;

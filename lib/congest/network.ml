@@ -401,8 +401,14 @@ let run_sync ~bandwidth ~max_rounds ~trace ~faults g algo =
   (* awake worklists: double-buffered int stacks, no per-round consing.
      Both stacks (and the receiver stack) are pushed in discovery order and
      iterated end-to-start — the v2 engine consed lists and iterated them
-     LIFO, and the trace's busiest-edge tie-break is sensitive to within-
-     round step order, so recorded outputs depend on reproducing it *)
+     LIFO.  The trace's busiest edge is the first directed edge to reach
+     the maximum load, so among equally loaded edges it depends on global
+     send order: this step order, and within a step the order the
+     algorithm sends in (Aggregate walks its neighbours in CSR adjacency
+     order).  The receiver stack is pushed in that same send order, and a
+     fault plan draws its drop/delay rolls per send, so both the tie-break
+     and the seeded fault stream are part of the recorded outputs; counts
+     (rounds, messages, loads) do not depend on either order *)
   let awake = ref (Array.make n 0) in
   let next_awake = ref (Array.make n 0) in
   let awake_n = ref 0 in

@@ -23,11 +23,17 @@ let build n parts_list =
     parts;
   { parts; part_of }
 
+(* O(n + m) over all parts: [seen.(v) = i] marks v as a member of part i
+   (the last part listing it), which is exactly the vertex set part i's
+   connectivity search may walk; [reached.(v) = i] marks it found.  Both
+   stamp arrays and the search stack are shared by every part. *)
 let check g t =
   let n = Graph.n g in
   if Array.length t.part_of <> n then Error "part_of size mismatch"
   else begin
     let seen = Array.make n (-1) in
+    let reached = Array.make n (-1) in
+    let stack = Array.make n 0 in
     let ok = ref (Ok ()) in
     Array.iteri
       (fun i p ->
@@ -38,8 +44,24 @@ let check g t =
             seen.(v) <- i;
             if t.part_of.(v) <> i then ok := Error "part_of inconsistent")
           p;
-        if not (Traversal.is_connected_subset g (Array.to_list p)) then
-          ok := Error "disconnected part")
+        if Array.length p > 0 then begin
+          (* connected iff the search from p.(0) reaches one vertex per
+             listed member (a vertex listed twice can never be matched) *)
+          reached.(p.(0)) <- i;
+          stack.(0) <- p.(0);
+          let top = ref 1 and count = ref 1 in
+          while !top > 0 do
+            decr top;
+            Graph.iter_adj g stack.(!top) (fun u _ ->
+                if seen.(u) = i && reached.(u) <> i then begin
+                  reached.(u) <- i;
+                  stack.(!top) <- u;
+                  incr top;
+                  incr count
+                end)
+          done;
+          if !count <> Array.length p then ok := Error "disconnected part"
+        end)
       t.parts;
     !ok
   end

@@ -207,6 +207,78 @@ let test_true_minimum () =
   check "part 0 min" true (mins.(0) = Some (1.0, 1));
   check "part 1 min" true (mins.(3) = Some (2.0, 2))
 
+(* the flat-array implementation against the Hashtbl reference it
+   replaced (test/aggregate_ref.ml): same minima, same counts, same
+   per-round and per-edge traffic.  Keys come from a 3-value set and data
+   from a 4-value set, so equal keys are common and the data tie-break
+   decides; some vertices carry no value at all. *)
+let oracle_graphs seed =
+  let cs =
+    Structure.Clique_sum.compose ~seed ~k:3 ~shape:Structure.Clique_sum.Random_tree
+      [
+        (Generators.apollonian ~seed 12).Generators.graph;
+        (Generators.grid 4 4).Generators.graph;
+        fst (Generators.k_tree ~seed:(seed + 1) ~k:2 10);
+      ]
+  in
+  [
+    ("grid", (Generators.grid 7 6).Generators.graph);
+    ("apollonian", (Generators.apollonian ~seed 40).Generators.graph);
+    ("k-tree", fst (Generators.k_tree ~seed ~k:3 36));
+    ("clique-sum", cs.Structure.Clique_sum.graph);
+  ]
+
+let test_aggregate_matches_reference =
+  QCheck.Test.make ~name:"flat state matches the Hashtbl reference" ~count:6
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      List.for_all
+        (fun (name, g) ->
+          let tree = Spanning.bfs_tree g 0 in
+          let parts_list =
+            [
+              Sh.Part.voronoi ~seed g ~count:(2 + Random.State.int st 7);
+              Sh.Part.random_connected ~seed g ~count:4 ~coverage:0.6;
+            ]
+          in
+          let values parts =
+            Array.init (Graph.n g) (fun v ->
+                if parts.Sh.Part.part_of.(v) < 0 || Random.State.int st 8 = 0 then None
+                else Some (float_of_int (Random.State.int st 3), Random.State.int st 4))
+          in
+          List.for_all
+            (fun parts ->
+              let values = values parts in
+              List.for_all
+                (fun (sc, max_rounds) ->
+                  let tr_new = Congest.Trace.create g and tr_ref = Congest.Trace.create g in
+                  let r = Congest.Aggregate.minimum ?max_rounds ~trace:tr_new sc ~values in
+                  let stats, mins = Aggregate_ref.minimum ?max_rounds ~trace:tr_ref sc ~values in
+                  let ok =
+                    (max_rounds = None || not stats.Congest.Network.converged)
+                    && r.Congest.Aggregate.mins = mins
+                    && r.Congest.Aggregate.stats = stats
+                    && Congest.Trace.round_messages tr_new = Congest.Trace.round_messages tr_ref
+                    && Congest.Trace.round_words tr_new = Congest.Trace.round_words tr_ref
+                    && List.for_all
+                         (fun d ->
+                           Congest.Trace.dir_edge_load tr_new d
+                           = Congest.Trace.dir_edge_load tr_ref d)
+                         (List.init (2 * Graph.m g) Fun.id)
+                  in
+                  if not ok then
+                    QCheck.Test.fail_reportf "%s: seed %d disagrees with the reference" name seed;
+                  ok)
+                [
+                  (Sh.Generic.construct tree parts, None);
+                  (Sh.Shortcut.empty tree parts, None);
+                  (* cut off before convergence: partial minima must agree too *)
+                  (Sh.Shortcut.empty tree parts, Some 2);
+                ])
+            parts_list)
+        (oracle_graphs seed))
+
 (* ---------- MST ---------- *)
 
 let test_mst_correct_all_constructors =
@@ -529,7 +601,12 @@ let () =
           Alcotest.test_case "large keys" `Quick test_aggregate_large_keys;
           Alcotest.test_case "true minimum" `Quick test_true_minimum;
         ]
-        @ qsuite [ test_aggregate_correct_generic; test_aggregate_correct_empty_shortcut ]
+        @ qsuite
+            [
+              test_aggregate_correct_generic;
+              test_aggregate_correct_empty_shortcut;
+              test_aggregate_matches_reference;
+            ]
       );
       ( "sum",
         [ Alcotest.test_case "rounds track quality" `Quick test_sum_rounds_track_quality ]
