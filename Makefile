@@ -80,7 +80,9 @@ bench-smoke:
 # byte-identical output at --jobs 1 and --jobs 2 (span timing tables are
 # suppressed — they are the one legitimately nondeterministic block — and
 # both runs write the same --jsonl path so the footer matches), and the
-# JSONL stream produced under worker domains must still validate
+# JSONL stream produced under worker domains must still validate.  SV1 is
+# diffed too: it is the one experiment that drives the pool through
+# Serve.Server rather than a sweep.
 bench-par-check:
 	dune build bench/main.exe tools/jsonl_check.exe
 	./_build/default/bench/main.exe --only E1 --no-timing --no-breakdown \
@@ -89,6 +91,11 @@ bench-par-check:
 	  --jsonl /tmp/e1-par.jsonl --jobs 2 > /tmp/e1-par-j2.out
 	diff /tmp/e1-par-j1.out /tmp/e1-par-j2.out
 	./_build/default/tools/jsonl_check.exe /tmp/e1-par.jsonl
+	./_build/default/bench/main.exe --only SV1 --no-timing --no-breakdown \
+	  --jobs 1 > /tmp/sv1-par-j1.out
+	./_build/default/bench/main.exe --only SV1 --no-timing --no-breakdown \
+	  --jobs 2 > /tmp/sv1-par-j2.out
+	diff /tmp/sv1-par-j1.out /tmp/sv1-par-j2.out
 
 # argument-handling gate: a misspelled id or flag must fail loudly, never
 # run nothing and pass.  An unknown experiment id exits 2 and lists the

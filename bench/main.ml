@@ -180,10 +180,14 @@ let agg_rounds ?trace sc = Core.Aggregate.rounds_for_parts ?trace sc ~seed:11
    and --json/--jsonl recording happen back on this domain, in canonical
    cell order, so stdout and record order are byte-identical whatever the
    job count (the determinism contract in DESIGN.md section 9). *)
-let pool : Exec.Pool.t option ref = ref None
+let pool_slot : Exec.Pool.t option ref = ref None
 
-let sweep cells f =
-  match !pool with Some p -> Exec.Pool.map_list p ~f cells | None -> List.map f cells
+let pool () =
+  match !pool_slot with
+  | Some p -> p
+  | None -> failwith "bench: experiments run only inside the domain pool"
+
+let sweep cells f = Exec.Pool.map_list (pool ()) ~f cells
 
 (* worker half of a congestion observation: run one traced aggregation over
    [sc]; pure data out, safe inside a sweep cell *)
@@ -1456,11 +1460,7 @@ let sv1 () =
     let warm, _ = L.run_phase ~name:"warm" ~server ~events in
     (server, cold, warm)
   in
-  let server, cold, warm =
-    match !pool with
-    | Some p -> run_load p
-    | None -> Exec.Pool.with_pool ~jobs:1 run_load
-  in
+  let server, cold, warm = run_load (pool ()) in
   subsection "served totals (deterministic: drain at the batch cap keeps \
               the queue under the admission bound, so nothing is shed)";
   Printf.printf "cold: submitted %d -> completed %d, rejected %d\n"
@@ -1472,11 +1472,7 @@ let sv1 () =
   Printf.printf "warm phase serves the identical schedule: results match = %b\n"
     (cold.L.per_kind = warm.L.per_kind && warm.L.rejected = 0);
   subsection "backpressure (deterministic: a full queue sheds immediately)";
-  let tiny =
-    match !pool with
-    | Some p -> Sv.create ~config:{ Sv.queue_depth = 8; batch_max = 32 } p
-    | None -> assert false (* bench always runs experiments under a pool *)
-  in
+  let tiny = Sv.create ~config:{ Sv.queue_depth = 8; batch_max = 32 } (pool ()) in
   let demo = { W.spec = W.Grid (12, 12); kind = W.Bfs; qseed = 0 } in
   let accepted = ref 0 and rejected = ref 0 in
   for _ = 1 to 12 do
@@ -1938,12 +1934,12 @@ let () =
     (* the pool is created after the sink is installed and spans enabled, so
        worker domains inherit both through the task-handoff ordering *)
     Exec.Pool.with_pool ~jobs (fun p ->
-        pool := Some p;
+        pool_slot := Some p;
         List.iter
           (fun (id, _, run) ->
             match only with Some o when o <> id -> () | _ -> run_experiment id run)
           experiments);
-    pool := None;
+    pool_slot := None;
     (* the comparable window for ledger entries: experiments only, before
        the probes and the bechamel timing suite add their own wall time *)
     let experiments_ms =

@@ -1,22 +1,24 @@
 (* Fixed-size domain pool, stdlib-only (Domain + Mutex + Condition + Atomic).
 
    Workers are spawned once at [create] and parked on a condition variable;
-   each [map_cells] seeds one work-stealing deque per slice with a
-   contiguous chunk of cell indices and hands every worker one closure (its
-   slice loop).  A slice drains its own deque bottom-up — increasing cell
-   index, like the old static chunk sweep — and then forages: it steals
-   single cells from the top (high-index end) of other slices' deques until
-   a full scan finds them all empty.  Skewed per-cell costs therefore
-   rebalance dynamically, while determinism is untouched because results
-   land in an index-addressed array and every observable merge is either
-   commutative (counters, histograms, span tables) or rank-resolved
-   (gauges, via [Obs.Metrics.set_merge_rank]).
+   each [map_cells] gives every slice one atomic cursor over its contiguous
+   chunk of cell indices and hands every worker one closure (its slice
+   loop).  A cell is taken by a fetch-and-add on a cursor and accepted while
+   the old value is below the chunk end.  A slice drains its own cursor, in
+   increasing cell index as a static chunk sweep would, and then makes
+   one pass over the other slices' cursors, draining each in turn.  No cell
+   is added after dispatch, so a drained cursor stays drained and one pass
+   suffices.  Skewed per-cell costs therefore rebalance dynamically, while
+   determinism is untouched because results land in an index-addressed
+   array and every observable merge is either commutative (counters,
+   histograms, span tables) or rank-resolved (gauges, via
+   [Obs.Metrics.set_merge_rank]).
 
    The mailbox mutex provides the happens-before edges both ways:
-   everything the caller wrote before submitting (cell array, seeded
-   deques, obs enable flags, installed sink) is visible to the worker, and
-   everything the worker wrote (results, captured obs state, a crash
-   report) is visible to the caller after the join. *)
+   everything the caller wrote before submitting (cell array, cursors, obs
+   enable flags, installed sink) is visible to the worker, and everything
+   the worker wrote (results, captured obs state, a crash report) is
+   visible to the caller after the join. *)
 
 type mailbox = {
   m : Mutex.t;
@@ -149,17 +151,9 @@ let map_cells (type b) t ~f (cells : 'a array) : b array =
       let ctx = Obs.Span.fork_context () in
       let steals0 = Atomic.get t.steals in
       Obs.Metrics.reset_merge_ranks ();
-      (* seed slice [s] with its chunk pushed high-to-low: the owner pops
-         cells in increasing index order, thieves steal from the high end *)
-      let deques =
-        Array.init slices (fun s ->
-            let lo = chunk_offset n slices s
-            and hi = chunk_offset n slices (s + 1) in
-            let d = Deque.create ~capacity:(hi - lo) in
-            for i = hi - 1 downto lo do
-              Deque.push d i
-            done;
-            d)
+      (* cursor [s] walks chunk [s] upward *)
+      let cursors =
+        Array.init slices (fun s -> Atomic.make (chunk_offset n slices s))
       in
       (* slice [s] executes cell [i]: the failure slot is per-slice (only
          domain [s] writes it) and keeps the lowest raising cell index, so
@@ -174,50 +168,41 @@ let map_cells (type b) t ~f (cells : 'a array) : b array =
           | Some (j, _, _) when j <= i -> ()
           | _ -> fails.(s) <- Some (i, e, bt))
       in
-      let run_slice s =
-        let own = deques.(s) in
-        let rec drain () =
-          match Deque.pop own with
-          | Some i ->
-              exec s i;
-              drain ()
-          | None -> ()
+      (* slice [s] takes cells from chunk [v] until its cursor passes the
+         chunk end; each take is one fetch-and-add *)
+      let drain s v =
+        let cursor = cursors.(v) and stop = chunk_offset n slices (v + 1) in
+        let rec go () =
+          let i = Atomic.fetch_and_add cursor 1 in
+          if i < stop then begin
+            if v <> s then Atomic.incr t.steals;
+            exec s i;
+            go ()
+          end
         in
-        drain ();
-        (* forage until a full scan of the other deques comes back empty;
-           a lost CAS ([`Retry]) means someone else just took an item, so
-           progress is global and the rescan terminates *)
-        let misses = ref 0 and v = ref ((s + 1) mod slices) in
-        while !misses < slices - 1 do
-          if !v = s then v := (!v + 1) mod slices
-          else
-            match Deque.steal deques.(!v) with
-            | `Stolen i ->
-                Atomic.incr t.steals;
-                exec s i;
-                misses := 0 (* same victim may have more *)
-            | `Retry ->
-                misses := 0;
-                Domain.cpu_relax ();
-                v := (!v + 1) mod slices
-            | `Empty ->
-                incr misses;
-                v := (!v + 1) mod slices
+        go ()
+      in
+      (* own chunk first, then one pass over the others: nothing is added
+         after dispatch, so a cursor found drained stays drained *)
+      let run_slice s =
+        for k = 0 to slices - 1 do
+          drain s ((s + k) mod slices)
         done;
         Obs.Metrics.clear_merge_rank ();
         if s > 0 then snaps.(s) <- Some (Obs.capture_domain ())
       in
-      (* the caller claims cell 0 before any worker can see its deque, so a
-         thief that drains its own chunk first can never take it; then
-         dispatch slices 1.. to the workers and run the rest of slice 0 here *)
-      let first = Deque.pop deques.(0) in
+      (* the caller claims cell 0 before any worker can see its cursor, so
+         a slice that drains its own chunk first can never take it; then
+         dispatch slices 1.. to the workers and run the rest of slice 0 here
+         (chunk 0 is never empty: slices <= n) *)
+      let first = Atomic.fetch_and_add cursors.(0) 1 in
       for s = 1 to slices - 1 do
         let box = t.boxes.(s - 1) in
         submit box (fun () ->
             Obs.Span.adopt ctx;
             run_slice s)
       done;
-      Option.iter (exec 0) first;
+      exec 0 first;
       run_slice 0;
       for s = 1 to slices - 1 do
         await t.boxes.(s - 1)

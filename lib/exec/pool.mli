@@ -1,14 +1,16 @@
-(** Fixed-size domain pool with deterministic work-stealing scheduling.
+(** Fixed-size domain pool with deterministic, self-balancing scheduling.
 
     The experiment fabric: a sweep is a list of independent cells (one
-    graph/parameter/seed combination each); {!map_cells} seeds one
-    Chase–Lev deque per slice with a contiguous, balanced chunk of cell
-    indices, runs slice 0 on the calling domain and the rest on persistent
-    worker domains, and returns results indexed exactly like the input.
-    A slice drains its own deque in increasing cell order and then steals
-    single cells from the high-index end of other slices' deques, so
-    skewed per-cell costs rebalance dynamically instead of serializing on
-    the slowest static chunk.
+    graph/parameter/seed combination each); {!map_cells} splits the cell
+    indices into one contiguous, balanced chunk per slice, runs slice 0 on
+    the calling domain and the rest on persistent worker domains, and
+    returns results indexed exactly like the input.  Each chunk has one
+    atomic cursor; a slice takes a cell with a fetch-and-add on it.  A
+    slice drains its own chunk in increasing cell order and then drains
+    the other slices' chunks in one pass, so skewed per-cell costs
+    rebalance dynamically instead of serializing on the slowest static
+    chunk.  Cells are fixed before dispatch and none adds work, so a
+    drained cursor stays drained.
 
     Determinism contract: every cell computes from its own inputs (its own
     seed, no shared mutable state) and every result lands in an
@@ -25,9 +27,9 @@
     order-sensitive merge — are ranked by cell index
     ({!Obs.Metrics.set_merge_rank} brackets every cell), so the merged
     value is the highest-indexed writing cell's, identical to sequential
-    execution no matter which domain stole which cell.
+    execution no matter which domain ran which cell.
 
-    With [jobs = 1] (or a single cell) no domain and no deque is ever
+    With [jobs = 1] (or a single cell) no domain and no cursor is ever
     involved: the cells run inline on the calling domain, making [-j 1]
     bit-identical to code that never heard of the pool. *)
 
@@ -41,8 +43,8 @@ val create : jobs:int -> t
 val jobs : t -> int
 
 val steal_count : t -> int
-(** Total cells executed by a slice other than the one they were seeded
-    into, over the pool's lifetime.  Timing-dependent (any value from 0 to
+(** Total cells executed by a slice other than the one whose chunk holds
+    them, over the pool's lifetime.  Timing-dependent (any value from 0 to
     the number of dispatched cells is legal); also accumulated into the
     ["exec.pool.steals"] metrics counter per sweep. *)
 
@@ -61,7 +63,7 @@ val map_cells : t -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
 (** [map_cells t ~f cells] computes [f i cells.(i)] for every [i] and
     returns the results in input order.  [f] runs on the calling domain for
     slice 0 and on worker domains otherwise (any cell may migrate to any
-    slice by stealing, except cell 0, which the calling domain claims
+    slice, except cell 0, which the calling domain claims
     before the workers start); it must not touch mutable state shared with other
     cells (print, grow caller-side refs, use the global [Random] state,
     ...) — return data instead and let the caller emit it in order.

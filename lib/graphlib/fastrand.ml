@@ -20,11 +20,11 @@
    53-bit value is zero).  Both operations are exact: the shifted draw is
    an integer below 2^53, so [float_of_int] is lossless, and scaling by a
    power of two only adjusts the exponent.  [verify] replays 512 draws
-   against the stdlib on a copied state at startup; if a future stdlib
-   changes [rawfloat], [active] turns false and every caller falls back
-   to the boxed stdlib path, keeping streams byte-identical at the old
-   cost.  (If the runtime ever drops the primitive itself, the build
-   fails at link time — loudly, not wrongly.) *)
+   against the stdlib on a copied state, once, the first time a sampler
+   calls [require]; if a future stdlib changes [rawfloat], [require]
+   raises and names that change — there is no slower fallback path that
+   could quietly take over.  (If the runtime ever drops the primitive
+   itself, the build fails at link time — loudly, not wrongly.) *)
 
 external lxm_next : Random.State.t -> (int64[@unboxed])
   = "caml_lxm_next" "caml_lxm_next_unboxed"
@@ -47,3 +47,9 @@ let verify () =
 
 let active_v = lazy (verify ())
 let active () = Lazy.force active_v
+
+let require () =
+  if not (active ()) then
+    failwith
+      "Fastrand: draw53 no longer replays Random.State.float 1.0 — the \
+       stdlib's rawfloat changed; update draw53 to match it"

@@ -288,41 +288,18 @@ let lower_bound_parts p =
    (a, b, c, 1-a-b-c), descending into the adjacency matrix.  Skewed
    quadrants give the heavy-tailed degree distribution; self-loops and
    duplicates are dropped by the builder, so m comes out slightly below
-   edge_factor * n. *)
-let rmat_build_boxed st ~scale ~edge_factor ~a ~b ~c =
-  let n = 1 lsl scale in
-  let target = edge_factor * n in
-  let bld = Graph.Builder.create ~edges_hint:target n in
-  let u = ref 0 and v = ref 0 in
-  for _ = 1 to target do
-    u := 0;
-    v := 0;
-    for _ = 1 to scale do
-      let r = Random.State.float st 1.0 in
-      let bu, bv =
-        if r < a then (0, 0)
-        else if r < a +. b then (0, 1)
-        else if r < a +. b +. c then (1, 0)
-        else (1, 1)
-      in
-      u := (!u lsl 1) lor bu;
-      v := (!v lsl 1) lor bv
-    done;
-    if !u <> !v then Graph.Builder.add_edge bld !u !v
-  done;
-  Graph.Builder.build bld
+   edge_factor * n.
 
-(* Scale-path sampler: the same stream, drawn unboxed.  Every level of
-   every edge draws [Random.State.float st 1.0] = d * 2^-53 with
-   d = [Fastrand.draw53 st], and comparing d * 2^-53 < q is exact iff
-   float_of_int d < q * 2^53, because d < 2^53 makes [float_of_int]
-   lossless and scaling by a power of two only moves the exponent.  The
-   thresholds are the SAME rounded sums the boxed path compares against
-   (a +. b, then a +. b +. c), scaled once outside the loop — so the
-   quadrant decisions, and hence the generated graph, are bit-identical
-   while the per-draw boxed Int64/float garbage disappears from the S1
-   build span. *)
-let rmat_build_fast st ~scale ~edge_factor ~a ~b ~c =
+   Every level of every edge draws [Random.State.float st 1.0] =
+   d * 2^-53 with d = [Fastrand.draw53 st], unboxed; comparing
+   d * 2^-53 < q is exact iff float_of_int d < q * 2^53, because d < 2^53
+   makes [float_of_int] lossless and scaling by a power of two only moves
+   the exponent.  The thresholds are the rounded sums a +. b and
+   a +. b +. c, scaled once outside the loop, so the quadrant decisions —
+   and hence the generated graph — are bit-identical to comparing
+   [Random.State.float] draws against those sums. *)
+let rmat_build st ~scale ~edge_factor ~a ~b ~c =
+  Fastrand.require ();
   let n = 1 lsl scale in
   let target = edge_factor * n in
   let bld = Graph.Builder.create ~edges_hint:target n in
@@ -347,12 +324,6 @@ let rmat_build_fast st ~scale ~edge_factor ~a ~b ~c =
     if !u <> !v then Graph.Builder.add_edge bld !u !v
   done;
   Graph.Builder.build bld
-
-let rmat_build st ~scale ~edge_factor ~a ~b ~c =
-  if Fastrand.active () then rmat_build_fast st ~scale ~edge_factor ~a ~b ~c
-  else rmat_build_boxed st ~scale ~edge_factor ~a ~b ~c
-
-let rmat_fast_sampler_active = Fastrand.active
 
 let rmat ?state ?(a = 0.57) ?(b = 0.19) ?(c = 0.19) ~seed ~scale ~edge_factor () =
   if scale < 1 || scale > 30 then invalid_arg "Generators.rmat: scale must be in 1..30";

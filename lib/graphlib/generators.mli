@@ -104,8 +104,3 @@ val rmat :
     family for the CSR substrate, not a shortcut-friendly input.
     Deterministic in [seed]; pass [state] (e.g. a [Faults.Rng] stream)
     to drive sampling from an external stream instead. *)
-
-val rmat_fast_sampler_active : unit -> bool
-(** Diagnostics: whether RMAT sampling runs on the unboxed
-    [Fastrand.draw53] path (stream-identical to the boxed stdlib path —
-    the generated graphs never differ; only allocation and speed do). *)

@@ -387,16 +387,14 @@ let unit_weights g = Array.make (m g) 1.0
 let random_weights ?state g =
   let st = match state with Some s -> s | None -> Random.State.make [| 42 |] in
   let m = m g in
-  if Fastrand.active () then begin
-    (* same stream, same values: [Random.State.float st 1.0] is
-       rawfloat *. 1.0, and [draw53] is that rawfloat's mantissa — but
-       the draw stays unboxed, which matters at m ~ 10^7 *)
-    let w = Array.make m 0.0 in
-    for e = 0 to m - 1 do
-      w.(e) <- (float_of_int (Fastrand.draw53 st) *. 0x1.p-53) +. 1e-9
-    done;
-    w
-  end
-  else Array.init m (fun _ -> Random.State.float st 1.0 +. 1e-9)
+  (* same stream, same values as [Random.State.float st 1.0 +. 1e-9] per
+     edge: that draw is rawfloat *. 1.0, and [draw53] is that rawfloat's
+     mantissa — but the draw stays unboxed, which matters at m ~ 10^7 *)
+  Fastrand.require ();
+  let w = Array.make m 0.0 in
+  for e = 0 to m - 1 do
+    w.(e) <- (float_of_int (Fastrand.draw53 st) *. 0x1.p-53) +. 1e-9
+  done;
+  w
 
 let pp ppf g = Fmt.pf ppf "graph(n=%d, m=%d)" g.n (m g)

@@ -66,8 +66,8 @@ let test_map_list () =
 (* ---------- work-stealing ---------- *)
 
 (* heavily skewed per-cell cost: one slice's chunk does almost all the
-   work, so at jobs > 1 the other workers drain their own deques and then
-   steal — the schedule varies, the results must not *)
+   work, so at jobs > 1 the other workers drain their own chunks and then
+   take cells from it — the schedule varies, the results must not *)
 let test_skewed_determinism () =
   let cells = Array.init 41 (fun i -> i) in
   let f i x =
@@ -104,82 +104,52 @@ let test_steal_count_sanity () =
       check "steals bounded across sweeps" true
         (after_two <= 2 * Array.length cells))
 
-(* ---------- deque ---------- *)
-
-let test_deque_owner_order () =
-  let d = Exec.Deque.create ~capacity:8 in
-  check "new deque empty" true (Exec.Deque.pop d = None);
-  check "new deque empty for thief" true (Exec.Deque.steal d = `Empty);
-  (* seed a chunk [3, 8) the way the pool does: hi-1 downto lo *)
-  for i = 7 downto 3 do
-    Exec.Deque.push d i
-  done;
-  check_int "size_hint" 5 (Exec.Deque.size_hint d);
-  (* owner pops in increasing index order *)
-  for i = 3 to 7 do
-    check
-      (Printf.sprintf "pop %d" i)
-      true
-      (Exec.Deque.pop d = Some i)
-  done;
-  check "drained" true (Exec.Deque.pop d = None)
-
-let test_deque_steal_order () =
-  let d = Exec.Deque.create ~capacity:8 in
-  for i = 7 downto 3 do
-    Exec.Deque.push d i
-  done;
-  (* thief takes from the top: the high end of the chunk first *)
-  check "steal 7" true (Exec.Deque.steal d = `Stolen 7);
-  check "steal 6" true (Exec.Deque.steal d = `Stolen 6);
-  check "owner still gets the low end" true (Exec.Deque.pop d = Some 3)
-
-let test_deque_capacity () =
-  let d = Exec.Deque.create ~capacity:2 in
-  Exec.Deque.push d 1;
-  Exec.Deque.push d 2;
-  check "push beyond capacity raises" true
-    (try
-       Exec.Deque.push d 3;
-       false
-     with Invalid_argument _ -> true);
-  check "capacity >= 1 enforced" true
-    (try
-       ignore (Exec.Deque.create ~capacity:0);
-       false
-     with Invalid_argument _ -> true)
-
-(* owner popping concurrently with two thieves: every pushed item is taken
-   exactly once (no loss, no duplication) *)
-let test_deque_concurrent () =
+(* 10 000 cells with skewed costs at jobs 2 and 4, so slices race each
+   other on the cursors of the expensive chunks: each cell must still run
+   exactly once — none lost, none run twice *)
+let test_each_cell_once () =
   let n = 10_000 in
-  let d = Exec.Deque.create ~capacity:n in
-  for i = n - 1 downto 0 do
-    Exec.Deque.push d i
-  done;
-  let thief () =
-    let got = ref [] in
-    let continue = ref true in
-    while !continue do
-      match Exec.Deque.steal d with
-      | `Stolen x -> got := x :: !got
-      | `Retry -> Domain.cpu_relax ()
-      | `Empty -> continue := false
-    done;
-    !got
-  in
-  let t1 = Domain.spawn thief and t2 = Domain.spawn thief in
-  let own = ref [] in
-  let continue = ref true in
-  while !continue do
-    match Exec.Deque.pop d with
-    | Some x -> own := x :: !own
-    | None -> continue := false
-  done;
-  let all = !own @ Domain.join t1 @ Domain.join t2 in
-  check_int "every item taken exactly once" n (List.length all);
-  let sorted = List.sort compare all in
-  check "items are 0..n-1" true (sorted = List.init n (fun i -> i))
+  List.iter
+    (fun jobs ->
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let f i x =
+        Atomic.incr runs.(i);
+        let spins = if i < n / 8 then 400 else 4 in
+        let acc = ref x in
+        for k = 1 to spins do
+          acc := (!acc * 31) + k
+        done;
+        !acc land 1
+      in
+      ignore
+        (Pool.with_pool ~jobs (fun p ->
+             Pool.map_cells p ~f (Array.init n (fun i -> i))));
+      check
+        (Printf.sprintf "every cell ran exactly once at jobs=%d" jobs)
+        true
+        (Array.for_all (fun r -> Atomic.get r = 1) runs))
+    [ 2; 4 ]
+
+(* force a steal: at jobs=2 chunk 0 is cells 0..3 and the caller always
+   runs cell 0, which spins until another domain has run some other cell
+   of chunk 0 — that cell was taken from the caller's cursor, so it must
+   be counted *)
+let test_forced_steal () =
+  let main = Domain.self () in
+  let stolen = Atomic.make false in
+  Pool.with_pool ~jobs:2 (fun p ->
+      ignore
+        (Pool.map_cells p
+           ~f:(fun i _ ->
+             if i = 0 then
+               while not (Atomic.get stolen) do
+                 Domain.cpu_relax ()
+               done
+             else if i < 4 && Domain.self () <> main then
+               Atomic.set stolen true)
+           (Array.init 8 (fun i -> i)));
+      check "a chunk-0 cell ran off the caller" true (Atomic.get stolen);
+      check "steal_count counts it" true (Pool.steal_count p >= 1))
 
 (* ---------- exception propagation ---------- *)
 
@@ -246,9 +216,8 @@ let test_inline_bypass () =
 let test_workers_used () =
   let main = Domain.self () in
   let cells = Array.init 8 (fun i -> i) in
-  (* with work-stealing the caller may legitimately run every cell of a
-     trivial sweep before the workers wake, so cell 0 (always popped first
-     by the caller) spins until some other domain has proven it executes
+  (* the caller may legitimately run every cell of a trivial sweep before
+     the workers wake, so cell 0 (always taken first by the caller) spins until some other domain has proven it executes
      cells — guaranteeing off-caller execution instead of hoping for it *)
   let seen_off_main = Atomic.make false in
   let doms =
@@ -268,7 +237,7 @@ let test_workers_used () =
     Array.fold_left (fun n d -> if d = main then n else n + 1) 0 doms
   in
   check "some cells ran off the caller domain" true (off_main > 0);
-  (* the caller always pops its own chunk's first cell *)
+  (* the caller always takes its own chunk's first cell *)
   check "cell 0 on caller" true (doms.(0) = main)
 
 (* ---------- observability merge at pool join ---------- *)
@@ -374,14 +343,10 @@ let () =
             test_skewed_determinism;
           Alcotest.test_case "steal counter sane and monotone" `Quick
             test_steal_count_sanity;
-          Alcotest.test_case "deque owner pops in index order" `Quick
-            test_deque_owner_order;
-          Alcotest.test_case "deque thief steals the high end" `Quick
-            test_deque_steal_order;
-          Alcotest.test_case "deque capacity is enforced" `Quick
-            test_deque_capacity;
-          Alcotest.test_case "deque concurrent pop/steal loses nothing" `Quick
-            test_deque_concurrent;
+          Alcotest.test_case "each cell runs once under contention" `Quick
+            test_each_cell_once;
+          Alcotest.test_case "a forced steal is counted" `Quick
+            test_forced_steal;
         ] );
       ( "domains",
         [
