@@ -1774,6 +1774,12 @@ let span_stats_json () =
        (Obs.Span.stats ()))
 
 let run_experiment id run =
+  (* start every experiment from a collected heap: otherwise the major-GC
+     work the previous one left (S1 frees over a GiB) is paid inside this
+     one, at its allocation rate, and shows up in its timings — SV1's
+     warm-phase p99 tripled behind S1 once the CONGEST engine stopped
+     allocating per run *)
+  Gc.full_major ();
   Obs.Span.reset ();
   Obs.Metrics.reset ();
   reset_congestion ();

@@ -226,7 +226,7 @@ let minimum ?max_rounds ?trace ?faults sc ~values =
                 send_buf.(1) <- Int64.to_int (Int64.shift_right_logical bits 32);
                 send_buf.(2) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
                 send_buf.(3) <- best_data.(s);
-                Network.send ctx (Graph.adj_dst g pos) send_buf
+                Network.send_at ctx pos send_buf
               end
             done;
           v);

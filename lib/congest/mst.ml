@@ -18,48 +18,97 @@ type report = {
   phase_rounds : int list;
 }
 
-let fragments_of uf g =
+(* [root.(v) <- Union_find.find uf v] for every vertex: the fragment ids
+   one phase reads, computed once *)
+let find_roots uf root =
+  for v = 0 to Array.length root - 1 do
+    root.(v) <- Union_find.find uf v
+  done
+
+(* the fragments as parts, members ascending.  Part order is the order an
+   OCaml Hashtbl folds its keys in, with roots first inserted while
+   scanning [v = n-1 downto 0]: shortcut construction and aggregation send
+   order depend on it, so it must not change.  A Hashtbl's layout depends
+   only on the order keys are first inserted ([replace] on a present key
+   updates it in place), so one [add] per distinct root reproduces it. *)
+let fragments_of g root =
   let n = Graph.n g in
-  let buckets = Hashtbl.create 16 in
+  (* [pid.(r)]: part id of root [r], -1 until [r] is first seen *)
+  let pid = Array.make n (-1) in
+  let seen = Hashtbl.create 16 in
   for v = n - 1 downto 0 do
-    let r = Union_find.find uf v in
-    Hashtbl.replace buckets r (v :: Option.value (Hashtbl.find_opt buckets r) ~default:[])
+    let r = root.(v) in
+    if pid.(r) < 0 then begin
+      pid.(r) <- 0;
+      Hashtbl.add seen r ()
+    end
   done;
-  Part.of_list g (Hashtbl.fold (fun _ l acc -> l :: acc) buckets [])
+  let nparts = Hashtbl.length seen in
+  let i = ref nparts in
+  Hashtbl.iter
+    (fun r () ->
+      decr i;
+      pid.(r) <- !i)
+    seen;
+  let part_of = Array.init n (fun v -> pid.(root.(v))) in
+  (* counting pass: part sizes, then members in ascending order *)
+  let fill = Array.make nparts 0 in
+  Array.iter (fun p -> fill.(p) <- fill.(p) + 1) part_of;
+  let parts = Array.map (fun s -> Array.make s 0) fill in
+  Array.fill fill 0 nparts 0;
+  Array.iteri
+    (fun v p ->
+      parts.(p).(fill.(p)) <- v;
+      fill.(p) <- fill.(p) + 1)
+    part_of;
+  let t = { Part.parts; part_of } in
+  match Part.check g t with
+  | Ok () -> t
+  | Error msg -> invalid_arg ("Mst.fragments_of: " ^ msg)
 
-(* minimum-weight outgoing edge values per vertex, for the current fragments *)
-let mwoe_values g w uf =
-  Array.init (Graph.n g) (fun v ->
-      let best = ref None in
-      Graph.iter_adj g v (fun u e ->
-          if not (Union_find.same uf v u) then
-            match !best with
-            | Some (bw, be) when not (Aggregate.value_lt w.(e) e bw be) -> ()
-            | _ -> best := Some (w.(e), e));
-      !best)
+(* minimum-weight outgoing edge value per vertex, for the fragments [root]
+   describes: the (weight, edge id)-least incident edge whose ends have
+   different roots, first in adjacency order on ties *)
+let mwoe_values g w root =
+  let n = Graph.n g in
+  let values = Array.make n None in
+  for v = 0 to n - 1 do
+    let rv = root.(v) in
+    let best = ref (-1) in
+    for pos = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+      if root.(Graph.adj_dst g pos) <> rv then begin
+        let e = Graph.adj_eid g pos in
+        let b = !best in
+        if b < 0 || Aggregate.value_lt w.(e) e w.(b) b then best := e
+      end
+    done;
+    let b = !best in
+    if b >= 0 then values.(v) <- Some (w.(b), b)
+  done;
+  values
 
-let merge_phase g w uf mins parts mst_edges =
-  (* each fragment adopts the minimum (weight, edge) its members agreed on *)
+(* each fragment adopts the minimum (weight, edge) its members agreed on,
+   then the winners merge in part order *)
+let merge_phase g uf mins parts mst_edges =
   let nparts = Part.count parts in
-  let chosen = Array.make nparts None in
+  let key = Array.make nparts 0.0 and edge = Array.make nparts (-1) in
   Array.iteri
     (fun v m ->
       let p = parts.Part.part_of.(v) in
       if p >= 0 then
-        match (m, chosen.(p)) with
-        | Some (kx, dx), Some (ky, dy) when not (Aggregate.value_lt kx dx ky dy) -> ()
-        | Some x, _ -> chosen.(p) <- Some x
-        | None, _ -> ())
+        match m with
+        | Some (k, e) ->
+            if edge.(p) < 0 || Aggregate.value_lt k e key.(p) edge.(p) then begin
+              key.(p) <- k;
+              edge.(p) <- e
+            end
+        | None -> ())
     mins;
   Array.iter
-    (fun c ->
-      match c with
-      | Some (_, e) ->
-          let u, v = Graph.edge g e in
-          if Union_find.union uf u v then mst_edges := e :: !mst_edges
-      | None -> ())
-    chosen;
-  ignore w
+    (fun e ->
+      if e >= 0 && Union_find.union uf (Graph.edge_u g e) (Graph.edge_v g e) then
+        mst_edges := e :: !mst_edges)
+    edge
 
 let boruvka ?(overhead = 2) ?(max_rounds_per_phase = 2_000_000) ?trace ?faults
     ?(strict = true) ~constructor g w =
@@ -75,13 +124,15 @@ let boruvka ?(overhead = 2) ?(max_rounds_per_phase = 2_000_000) ?trace ?faults
   let phase_rounds = ref [] in
   let phases = ref 0 in
   let tree = Spanning.bfs_tree g 0 in
+  let root = Array.make n 0 in
   let progress = ref true in
   while Union_find.count uf > 1 && !progress do
     incr phases;
     if !phases > 2 * n then failwith "Mst.boruvka: no progress";
-    let parts = fragments_of uf g in
+    find_roots uf root;
+    let parts = fragments_of g root in
     let sc = constructor tree parts in
-    let values = mwoe_values g w uf in
+    let values = mwoe_values g w root in
     let result =
       Aggregate.minimum ~max_rounds:max_rounds_per_phase ?trace ?faults sc
         ~values
@@ -97,7 +148,7 @@ let boruvka ?(overhead = 2) ?(max_rounds_per_phase = 2_000_000) ?trace ?faults
     messages := !messages + (overhead * result.Aggregate.stats.Network.messages);
     phase_rounds := cost :: !phase_rounds;
     let before = Union_find.count uf in
-    merge_phase g w uf result.Aggregate.mins parts mst_edges;
+    merge_phase g uf result.Aggregate.mins parts mst_edges;
     (* under faults a phase can lose every candidate; a best-effort run
        stops instead of spinning (the partial forest is the degraded
        answer), a strict run cannot get here *)
@@ -127,14 +178,17 @@ let boruvka_full ?(max_rounds_per_phase = 2_000_000) ?trace ?faults
   let phase_rounds = ref [] in
   let phases = ref 0 in
   let tree = Spanning.bfs_tree g 0 in
+  let root = Array.make n 0 in
+  let id_values = Array.init n (fun v -> Some (float_of_int v, v)) in
   let progress = ref true in
   while Union_find.count uf > 1 && !progress do
     incr phases;
     if !phases > 2 * n then failwith "Mst.boruvka_full: no progress";
     (* (a) MWOE aggregation on the current fragments *)
-    let parts = fragments_of uf g in
+    find_roots uf root;
+    let parts = fragments_of g root in
     let sc = constructor tree parts in
-    let values = mwoe_values g w uf in
+    let values = mwoe_values g w root in
     let result =
       Aggregate.minimum ~max_rounds:max_rounds_per_phase ?trace ?faults sc
         ~values
@@ -142,14 +196,14 @@ let boruvka_full ?(max_rounds_per_phase = 2_000_000) ?trace ?faults
     if strict && not (Aggregate.verify sc ~values result) then
       failwith "Mst.boruvka_full: MWOE aggregation wrong";
     let before = Union_find.count uf in
-    merge_phase g w uf result.Aggregate.mins parts mst_edges;
+    merge_phase g uf result.Aggregate.mins parts mst_edges;
     progress := Union_find.count uf < before;
     (* (b) fragment renaming: every member of each *merged* fragment learns
        the new leader (minimum vertex id) by a second aggregation, over the
        new partition with its own shortcut *)
-    let parts' = fragments_of uf g in
+    find_roots uf root;
+    let parts' = fragments_of g root in
     let sc' = constructor tree parts' in
-    let id_values = Array.init n (fun v -> Some (float_of_int v, v)) in
     let rename =
       Aggregate.minimum ~max_rounds:max_rounds_per_phase ?trace ?faults sc'
         ~values:id_values
@@ -190,42 +244,41 @@ let pipelined g w =
   let tree = Spanning.bfs_tree g 0 in
   let depth = Spanning.height tree in
   let sqrt_n = int_of_float (ceil (sqrt (float_of_int n))) in
+  let root = Array.make n 0 in
+  (* refreshes [root] for the phase the loop test admits *)
   let min_fragment_size () =
-    let sizes = Hashtbl.create 16 in
-    for v = 0 to n - 1 do
-      let r = Union_find.find uf v in
-      Hashtbl.replace sizes r (1 + Option.value (Hashtbl.find_opt sizes r) ~default:0)
-    done;
-    Hashtbl.fold (fun _ s acc -> min s acc) sizes max_int
+    find_roots uf root;
+    Array.fold_left (fun acc r -> Int.min acc (Union_find.size uf r)) max_int root
   in
   (* stage 1: flooding Boruvka until every fragment has >= sqrt n vertices *)
   while Union_find.count uf > 1 && min_fragment_size () < sqrt_n do
     incr phases;
-    let parts = fragments_of uf g in
+    let parts = fragments_of g root in
     let sc = Sc.empty tree parts in
-    let values = mwoe_values g w uf in
+    let values = mwoe_values g w root in
     let result = Aggregate.minimum sc ~values in
     let cost = 2 * result.Aggregate.stats.Network.rounds in
     rounds := !rounds + cost;
     messages := !messages + (2 * result.Aggregate.stats.Network.messages);
     phase_rounds := cost :: !phase_rounds;
-    merge_phase g w uf result.Aggregate.mins parts mst_edges
+    merge_phase g uf result.Aggregate.mins parts mst_edges
   done;
   (* stage 2: pipelined convergecast over the BFS tree; each round of merging
      ships one candidate edge per fragment to the root: depth + #fragments
      rounds, the exact pipelining bound *)
   while Union_find.count uf > 1 do
     incr phases;
-    let parts = fragments_of uf g in
+    find_roots uf root;
+    let parts = fragments_of g root in
     let nf = Part.count parts in
     let cost = depth + nf in
     rounds := !rounds + cost;
     messages := !messages + ((depth + 1) * nf);
     phase_rounds := cost :: !phase_rounds;
-    let values = mwoe_values g w uf in
+    let values = mwoe_values g w root in
     (* the root computes every fragment's MWOE exactly *)
     let mins = Aggregate.true_minimum parts ~values in
-    merge_phase g w uf mins parts mst_edges
+    merge_phase g uf mins parts mst_edges
   done;
   let mst_edges = !mst_edges in
   {

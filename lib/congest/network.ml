@@ -91,11 +91,15 @@ type hook_state = {
 type ctx = {
   g : Graph.t;
   bandwidth : int;
-  edge_src : int array;  (* first Graph.edge endpoint: orientation of dir 2e *)
-  out_nbr : int array array;  (* per node: neighbors, adjacency order *)
-  out_dir : int array array;  (* per node: dir id towards each neighbor *)
-  in_nbr : int array array;  (* per node: senders, ascending id *)
-  in_dir : int array array;  (* per node: dir id from each sender *)
+  (* the flat fabric tables, all indexed by CSR position: [pos_dst] and
+     [pos_dir] describe the send along position [pos] of its owner; the
+     receiving side reuses each node's segment, so [in_src]/[in_dir] at
+     positions [adj_offset v .. adj_offset (v+1) - 1] list [v]'s senders
+     in ascending id with the dir id each one sends on *)
+  pos_dst : int array;
+  pos_dir : int array;
+  in_src : int array;
+  in_dir : int array;
   load : int array;  (* cumulative messages per dir id *)
   arena : int array array;  (* 2 parity buffers of 2m * bandwidth words *)
   msg_len : int array array;  (* 2 x 2m: payload length per slot *)
@@ -125,7 +129,7 @@ type ctx = {
 let node ctx = ctx.node
 let round ctx = ctx.round
 let graph ctx = ctx.g
-let degree ctx = Array.length ctx.out_dir.(ctx.node)
+let degree ctx = Graph.degree ctx.g ctx.node
 let inbox_size ctx = ctx.ibx_n
 let inbox_sender ctx i = ctx.ibx_sender.(i)
 let inbox_words ctx i = ctx.msg_len.(ctx.round land 1).(ctx.ibx_dir.(i))
@@ -280,13 +284,23 @@ let send ctx w payload =
     invalid_arg
       (Printf.sprintf "Congest: send to a non-neighbor (round %d, %d -> %d)"
          ctx.round ctx.node w);
-  let dir = (2 * e) + if ctx.edge_src.(e) = ctx.node then 0 else 1 in
+  let dir = (2 * e) + if Graph.edge_u ctx.g e = ctx.node then 0 else 1 in
   deliver ctx w dir payload
 
+let send_at ctx pos payload =
+  let v = ctx.node in
+  if pos < Graph.adj_offset ctx.g v || pos >= Graph.adj_offset ctx.g (v + 1) then
+    invalid_arg
+      (Printf.sprintf
+         "Congest: send_at outside the node's segment (round %d, node %d, \
+          position %d)"
+         ctx.round v pos);
+  deliver ctx ctx.pos_dst.(pos) ctx.pos_dir.(pos) payload
+
 let send_all ctx payload =
-  let nbr = ctx.out_nbr.(ctx.node) and dir = ctx.out_dir.(ctx.node) in
-  for i = 0 to Array.length nbr - 1 do
-    deliver ctx nbr.(i) dir.(i) payload
+  let v = ctx.node in
+  for pos = Graph.adj_offset ctx.g v to Graph.adj_offset ctx.g (v + 1) - 1 do
+    deliver ctx ctx.pos_dst.(pos) ctx.pos_dir.(pos) payload
   done
 
 type 'st algo = {
@@ -295,82 +309,80 @@ type 'st algo = {
   finished : 'st -> bool;
 }
 
-(* context construction shared by the synchronous engine and hook mode *)
+(* context construction shared by the synchronous engine and hook mode.
+   One pass over the senders [w = 0 .. n-1] fills all four fabric tables:
+   [cur.(u)] is the next free position in receiver [u]'s segment, and
+   because senders ascend globally, each receiver's run of senders comes
+   out ascending with no sort *)
 let make_ctx ~bandwidth ~trace ~fstate ~hook g =
   let n = Graph.n g in
   let m = Graph.m g in
-  let edge_src = Array.init (Graph.m g) (fun e -> Graph.edge_u g e) in
-  let dir_of e u = if edge_src.(e) = u then 2 * e else (2 * e) + 1 in
-  let out_nbr = Array.init n (fun v -> Graph.neighbors g v) in
-  let out_dir =
-    Array.init n (fun v ->
-        let lo = Graph.adj_offset g v in
-        Array.init (Graph.degree g v) (fun i -> dir_of (Graph.adj_eid g (lo + i)) v))
-  in
-  (* receiving side, ascending sender id: the inbox fill scans these
-     end-to-start, so the indexed inbox comes out in descending sender
-     order (the delivery order every recorded experiment depends on) *)
-  let in_pairs =
-    Array.init n (fun v ->
-        let lo = Graph.adj_offset g v in
-        let a =
-          Array.init (Graph.degree g v) (fun i ->
-              let w = Graph.adj_dst g (lo + i) in
-              (w, dir_of (Graph.adj_eid g (lo + i)) w))
-        in
-        (* neighbor ids are unique per segment, so ordering on the id
-           alone is total and matches the old polymorphic pair order *)
-        Array.sort (fun (x, _) (y, _) -> Int.compare x y) a;
-        a)
-  in
-  let in_nbr = Array.map (Array.map fst) in_pairs in
-  let in_dir = Array.map (Array.map snd) in_pairs in
-  let maxdeg = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 out_nbr in
+  let pos_dst = Array.make (2 * m) 0 and pos_dir = Array.make (2 * m) 0 in
+  let in_src = Array.make (2 * m) 0 and in_dir = Array.make (2 * m) 0 in
+  let cur = Array.make n 0 in
+  let maxdeg = ref 0 in
+  for u = 0 to n - 1 do
+    let lo = Graph.adj_offset g u in
+    cur.(u) <- lo;
+    let d = Graph.adj_offset g (u + 1) - lo in
+    if d > !maxdeg then maxdeg := d
+  done;
+  for w = 0 to n - 1 do
+    for pos = Graph.adj_offset g w to Graph.adj_offset g (w + 1) - 1 do
+      let u = Graph.adj_dst g pos and e = Graph.adj_eid g pos in
+      let dir = if Graph.edge_u g e = w then 2 * e else (2 * e) + 1 in
+      pos_dst.(pos) <- u;
+      pos_dir.(pos) <- dir;
+      let at = cur.(u) in
+      in_src.(at) <- w;
+      in_dir.(at) <- dir;
+      cur.(u) <- at + 1
+    done
+  done;
+  let maxdeg = !maxdeg in
   {
     g;
     bandwidth;
-      edge_src;
-      out_nbr;
-      out_dir;
-      in_nbr;
-      in_dir;
-      load = Array.make (2 * m) 0;
-      arena = [| Array.make (2 * m * bandwidth) 0; Array.make (2 * m * bandwidth) 0 |];
-      msg_len = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
-      msg_round = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
-      ibx_sender = Array.make maxdeg 0;
-      ibx_dir = Array.make maxdeg 0;
-      ibx_n = 0;
-      has_mail = Array.make n false;
-      next_recv = Array.make n 0;
-      next_recv_n = 0;
-      node = -1;
-      round = 0;
-      messages = 0;
-      words = 0;
-      max_words = 0;
-      max_load = 0;
-      dropped = 0;
-      delayed = 0;
-      retried = 0;
-      trace;
-      faults = fstate;
-      hook;
+    pos_dst;
+    pos_dir;
+    in_src;
+    in_dir;
+    load = Array.make (2 * m) 0;
+    arena = [| Array.make (2 * m * bandwidth) 0; Array.make (2 * m * bandwidth) 0 |];
+    msg_len = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
+    msg_round = [| Array.make (2 * m) 0; Array.make (2 * m) 0 |];
+    ibx_sender = Array.make maxdeg 0;
+    ibx_dir = Array.make maxdeg 0;
+    ibx_n = 0;
+    has_mail = Array.make n false;
+    next_recv = Array.make n 0;
+    next_recv_n = 0;
+    node = -1;
+    round = 0;
+    messages = 0;
+    words = 0;
+    max_words = 0;
+    max_load = 0;
+    dropped = 0;
+    delayed = 0;
+    retried = 0;
+    trace;
+    faults = fstate;
+    hook;
   }
 
-(* the stepped node's inbox view: scan the incoming dirs end-to-start for
-   slots stamped with the current round, so the indexed inbox comes out
-   in descending sender order (the delivery order every recorded
-   experiment depends on).  Shared verbatim by the synchronous engine and
-   hook-mode pulses. *)
+(* the stepped node's inbox view: scan its receiving segment (senders
+   ascending) end-to-start for slots stamped with the current round, so
+   the indexed inbox comes out in descending sender order (the delivery
+   order every recorded experiment depends on).  Shared verbatim by the
+   synchronous engine and hook-mode pulses. *)
 let fill_inbox ctx v =
-  let nbrs = ctx.in_nbr.(v) and dirs = ctx.in_dir.(v) in
   let mr = ctx.msg_round.(ctx.round land 1) in
   let k = ref 0 in
-  for i = Array.length nbrs - 1 downto 0 do
-    let dir = dirs.(i) in
+  for i = Graph.adj_offset ctx.g (v + 1) - 1 downto Graph.adj_offset ctx.g v do
+    let dir = ctx.in_dir.(i) in
     if mr.(dir) = ctx.round then begin
-      ctx.ibx_sender.(!k) <- nbrs.(i);
+      ctx.ibx_sender.(!k) <- ctx.in_src.(i);
       ctx.ibx_dir.(!k) <- dir;
       incr k
     end
@@ -642,8 +654,7 @@ module Hook = struct
   let n t = Graph.n t.hctx.g
   let graph t = t.hctx.g
   let awake t v = t.awake_fn v
-  let out_nbr t v = t.hctx.out_nbr.(v)
-  let out_dir t v = t.hctx.out_dir.(v)
+  let pos_dir t pos = t.hctx.pos_dir.(pos)
 
   let dir_dst t dir =
     let e = dir / 2 in
@@ -665,11 +676,10 @@ module Hook = struct
 
   let has_mail t ~node ~pulse =
     let ctx = t.hctx in
-    let dirs = ctx.in_dir.(node) in
     let mr = ctx.msg_round.(pulse land 1) in
     let found = ref false in
-    for i = 0 to Array.length dirs - 1 do
-      if mr.(dirs.(i)) = pulse then found := true
+    for i = Graph.adj_offset ctx.g node to Graph.adj_offset ctx.g (node + 1) - 1 do
+      if mr.(ctx.in_dir.(i)) = pulse then found := true
     done;
     !found
 

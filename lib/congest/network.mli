@@ -14,9 +14,17 @@
     per-message boxed arrays, and slot occupancy is a round stamp: two
     parity-indexed arenas alternate between the round being stepped and the
     round being written, so sends never clobber undelivered messages and no
-    buffer is ever cleared. [send] resolves the edge by binary search over
-    the graph's sorted adjacency. A steady-state round — every node
+    buffer is ever cleared. A steady-state round — every node
     re-stepping, every edge busy — allocates nothing.
+
+    The fabric's routing tables are four flat int arrays over CSR
+    positions, filled in one counting pass per run with no sort: the
+    receiver and directed slot of the send along each position, and, in
+    each node's own segment, its senders in ascending id with the slot
+    each one sends on. [send ctx w] finds the position of neighbor [w] by
+    binary search over the graph's sorted adjacency (O(log degree));
+    {!send_at} takes the CSR position itself and is O(1), for algorithms
+    that already walk their segment.
 
     Nodes are stepped from an active worklist, not by scanning all [n]:
     a node is stepped in a round iff it has mail or it reported
@@ -91,6 +99,15 @@ val send : ctx -> int -> int array -> unit
     intended allocation-free pattern.
     @raise Invalid_argument on a non-neighbor target, a second message on
     the same edge in the same round, or an oversized payload. *)
+
+val send_at : ctx -> int -> int array -> unit
+(** [send_at ctx pos payload] is {!send} to the neighbor at CSR position
+    [pos] of the current node ([Graph.adj_offset g v <= pos <
+    Graph.adj_offset g (v + 1)], i.e. [Graph.adj_dst g pos]), without the
+    neighbor lookup: O(1).  Same copying, accounting and checks as
+    {!send}.
+    @raise Invalid_argument if [pos] is outside the node's segment (the
+    message names the round, node and position), or as {!send}. *)
 
 val send_all : ctx -> int array -> unit
 (** [send_all ctx payload] broadcasts one copy of [payload] to every
@@ -203,11 +220,11 @@ module Hook : sig
   (** [true] iff the node's state is not finished — the same predicate
       the synchronous worklist uses. *)
 
-  val out_nbr : t -> int -> int array
-  (** Neighbors of a node, adjacency order (shared, do not mutate). *)
-
-  val out_dir : t -> int -> int array
-  (** Directed-edge slot towards each neighbor, parallel to {!out_nbr}. *)
+  val pos_dir : t -> int -> int
+  (** Directed-edge slot of a send along CSR position [pos], towards
+      [Graph.adj_dst g pos]: walk a node's segment [Graph.adj_offset g v
+      .. Graph.adj_offset g (v + 1) - 1] for its slots in adjacency
+      order, with no allocation. *)
 
   val dir_dst : t -> int -> int
   (** Receiver of directed slot [dir]. *)

@@ -537,6 +537,59 @@ let test_boruvka_full_vs_charged () =
   check "full within 4x of charged" true
     (full.Congest.Mst.rounds <= 4 * charged.Congest.Mst.rounds)
 
+(* the flat Borůvka driver against the Hashtbl-and-list one it replaced
+   (test/boruvka_ref.ml): same parts handed to the constructor, in the same
+   order, so the same report, per-round series and per-edge loads *)
+let test_boruvka_matches_reference =
+  QCheck.Test.make ~name:"flat Boruvka driver matches the reference" ~count:4
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      List.for_all
+        (fun (name, g) ->
+          let w = Graph.random_weights ~state:(Random.State.make [| seed |]) g in
+          (* records the parts of every phase, in order *)
+          let logged constructor =
+            let log = ref [] in
+            ( (fun tree parts ->
+                log := parts.Sh.Part.parts :: !log;
+                constructor tree parts),
+              log )
+          in
+          let agree label run_new run_ref constructor =
+            let c_new, log_new = logged constructor and c_ref, log_ref = logged constructor in
+            let tr_new = Congest.Trace.create g and tr_ref = Congest.Trace.create g in
+            let r_new = run_new ~trace:tr_new ~constructor:c_new g w in
+            let r_ref = run_ref ~trace:tr_ref ~constructor:c_ref g w in
+            let ok =
+              r_new = r_ref && !log_new = !log_ref
+              && Congest.Trace.round_messages tr_new = Congest.Trace.round_messages tr_ref
+              && List.for_all
+                   (fun d ->
+                     Congest.Trace.dir_edge_load tr_new d = Congest.Trace.dir_edge_load tr_ref d)
+                   (List.init (2 * Graph.m g) Fun.id)
+            in
+            if not ok then
+              QCheck.Test.fail_reportf "%s %s: seed %d disagrees with the reference" name
+                label seed;
+            ok
+          in
+          let boruvka ~trace ~constructor g w = Congest.Mst.boruvka ~trace ~constructor g w in
+          let boruvka_ref ~trace ~constructor g w = Boruvka_ref.boruvka ~trace ~constructor g w in
+          let full ~trace ~constructor g w = Congest.Mst.boruvka_full ~trace ~constructor g w in
+          let full_ref ~trace ~constructor g w =
+            Boruvka_ref.boruvka_full ~trace ~constructor g w
+          in
+          List.for_all
+            (fun (label, constructor) ->
+              agree ("boruvka " ^ label) boruvka boruvka_ref constructor
+              && agree ("boruvka_full " ^ label) full full_ref constructor)
+            [
+              ("shortcut", Congest.Mst.shortcut_constructor);
+              ("no shortcut", Congest.Mst.no_shortcut_constructor);
+            ]
+          && Congest.Mst.pipelined g w = Boruvka_ref.pipelined g w)
+        (oracle_graphs seed))
+
 let test_two_respecting_beats_one () =
   (* star 0-{1,2,3} + heavy bond 1-2; min cut {1,2} is 2-respecting only *)
   let g = Graph.of_edges 4 [ (0, 1); (0, 2); (0, 3); (1, 2) ] in
@@ -635,7 +688,12 @@ let () =
           Alcotest.test_case "lower-bound family" `Quick test_mst_on_lower_bound_family;
           Alcotest.test_case "phase accounting" `Quick test_mst_phase_rounds_recorded;
         ]
-        @ qsuite [ test_mst_correct_all_constructors; test_mst_phases_logarithmic ] );
+        @ qsuite
+            [
+              test_mst_correct_all_constructors;
+              test_mst_phases_logarithmic;
+              test_boruvka_matches_reference;
+            ] );
       ( "mst_full",
         [ Alcotest.test_case "full vs charged rounds" `Quick test_boruvka_full_vs_charged ]
         @ qsuite [ test_boruvka_full_exact ] );

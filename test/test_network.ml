@@ -1,5 +1,6 @@
-(* Tests for the v2 CONGEST executor itself: the edge-indexed message
-   fabric (duplicate-send / non-neighbor / bandwidth enforcement), the
+(* Tests for the CONGEST executor itself: the edge-indexed message
+   fabric (duplicate-send / non-neighbor / bandwidth enforcement, the
+   inbox order the flat fabric tables produce, [send_at] against [send]), the
    active-node worklist (quiescent nodes are skipped, mail reactivates
    them), and a property check of the distributed BFS against the
    centralized traversal. *)
@@ -163,6 +164,125 @@ let prop_bfs_matches_traversal =
              || dist.(st.Congest.Bfs.parent) = st.Congest.Bfs.dist - 1)
            states)
 
+(* ---------- the flat fabric tables ---------- *)
+
+(* generator families plus a random graph whose edges are inserted in
+   shuffled order with random orientation, so CSR order, sorted order and
+   edge endpoint order all disagree *)
+let family seed =
+  let st = Random.State.make [| seed |] in
+  match seed mod 6 with
+  | 0 -> (Generators.grid (2 + (seed mod 7)) (2 + (seed mod 5))).Generators.graph
+  | 1 -> (Generators.apollonian ~seed (4 + (seed mod 40))).Generators.graph
+  | 2 -> fst (Generators.k_tree ~seed ~k:3 (5 + (seed mod 30)))
+  | 3 -> Generators.series_parallel ~seed (5 + (seed mod 30))
+  | 4 -> Generators.erdos_renyi ~seed (3 + (seed mod 40)) 0.2
+  | _ ->
+      let g = Generators.erdos_renyi ~seed (3 + (seed mod 40)) 0.3 in
+      let es = Array.map (fun (u, v) -> if Random.State.bool st then (u, v) else (v, u)) (Graph.edges g) in
+      for i = Array.length es - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = es.(i) in
+        es.(i) <- es.(j);
+        es.(j) <- t
+      done;
+      Graph.of_edges (Graph.n g) (Array.to_list es)
+
+let every_dir_load_is tr g k =
+  List.for_all (fun d -> Congest.Trace.dir_edge_load tr d = k) (List.init (2 * Graph.m g) Fun.id)
+
+let prop_send_all_inbox_contract =
+  QCheck.Test.make ~name:"send_all: each inbox lists every neighbor, descending" ~count:60
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let g = family seed in
+      let n = Graph.n g in
+      let got = Array.make n [] in
+      let algo =
+        {
+          N.init = (fun _ _ -> false);
+          step =
+            (fun ctx _ ->
+              if N.round ctx = 1 then N.send_all ctx [| N.node ctx |]
+              else
+                got.(N.node ctx) <-
+                  List.init (N.inbox_size ctx) (fun i ->
+                      (N.inbox_sender ctx i, N.inbox_words ctx i, N.inbox_word ctx i 0));
+              true);
+          finished = (fun st -> st);
+        }
+      in
+      let tr = Congest.Trace.create g in
+      let _, stats = N.run ~trace:tr g algo in
+      stats.N.converged
+      && stats.N.messages = 2 * Graph.m g
+      && every_dir_load_is tr g 1
+      && List.for_all
+           (fun v ->
+             let expected =
+               List.sort (fun a b -> Int.compare b a) (Array.to_list (Graph.neighbors g v))
+             in
+             List.map (fun (w, _, _) -> w) got.(v) = expected
+             && List.for_all (fun (w, len, word) -> len = 1 && word = w) got.(v))
+           (List.init n Fun.id))
+
+let test_send_at_outside_segment () =
+  let g = Generators.path 4 in
+  let attempt pos =
+    {
+      N.init = (fun _ _ -> false);
+      step =
+        (fun ctx _ ->
+          if N.node ctx = 1 then N.send_at ctx pos [| 1 |];
+          true);
+      finished = (fun st -> st);
+    }
+  in
+  (* node 0's only position, then one past the whole CSR *)
+  Alcotest.check_raises "another node's position"
+    (Invalid_argument
+       "Congest: send_at outside the node's segment (round 1, node 1, position 0)")
+    (fun () -> ignore (N.run g (attempt (Graph.adj_offset g 0))));
+  Alcotest.check_raises "past the CSR"
+    (Invalid_argument
+       "Congest: send_at outside the node's segment (round 1, node 1, position 6)")
+    (fun () -> ignore (N.run g (attempt (2 * Graph.m g))))
+
+(* the same schedule through [send] (neighbor lookup) and [send_at] (CSR
+   position): three rounds, each node sending along a round-dependent
+   subset of its positions *)
+let prop_send_at_equals_send =
+  QCheck.Test.make ~name:"send_at and send give identical runs" ~count:40
+    QCheck.(int_range 1 1000)
+    (fun seed ->
+      let g = family seed in
+      let run by_pos =
+        let inboxes = ref [] in
+        let algo =
+          {
+            N.init = (fun _ _ -> 0);
+            step =
+              (fun ctx r ->
+                let v = N.node ctx in
+                for i = 0 to N.inbox_size ctx - 1 do
+                  inboxes := (N.round ctx, v, N.inbox_sender ctx i, N.inbox_word ctx i 1) :: !inboxes
+                done;
+                if r < 3 then
+                  for pos = Graph.adj_offset g v to Graph.adj_offset g (v + 1) - 1 do
+                    if (pos + r + seed) mod 3 <> 0 then
+                      if by_pos then N.send_at ctx pos [| v; r |]
+                      else N.send ctx (Graph.adj_dst g pos) [| v; r |]
+                  done;
+                r + 1);
+            finished = (fun r -> r >= 3);
+          }
+        in
+        let tr = Congest.Trace.create g in
+        let states, stats = N.run ~trace:tr g algo in
+        (states, stats, List.init (2 * Graph.m g) (Congest.Trace.dir_edge_load tr), !inboxes)
+      in
+      run true = run false)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -174,7 +294,10 @@ let () =
             test_bandwidth_violation;
           Alcotest.test_case "duplicate send raises" `Quick test_duplicate_send;
           Alcotest.test_case "non-neighbor send raises" `Quick test_non_neighbor;
-        ] );
+          Alcotest.test_case "send_at outside the segment raises" `Quick
+            test_send_at_outside_segment;
+        ]
+        @ qsuite [ prop_send_all_inbox_contract; prop_send_at_equals_send ] );
       ( "activity",
         [
           Alcotest.test_case "quiescent nodes are skipped" `Quick
